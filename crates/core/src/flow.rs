@@ -682,6 +682,120 @@ kernel fir8 {
         );
     }
 
+    /// The order in which each flow hands artifacts to `check` is a
+    /// contract: downstream tooling derives per-layer spans from it.
+    #[test]
+    fn artifact_order_is_pinned() {
+        fn label(a: &PassArtifact<'_>) -> &'static str {
+            match a {
+                PassArtifact::Kernel { .. } => "kernel",
+                PassArtifact::Spec {
+                    is_final: false, ..
+                } => "seed-spec",
+                PassArtifact::Spec { is_final: true, .. } => "spec",
+                PassArtifact::Groups {
+                    is_final: false, ..
+                } => "groups",
+                PassArtifact::Groups { is_final: true, .. } => "final-groups",
+                PassArtifact::Program { role, .. } => match role {
+                    ProgramRole::Candidate => "candidate",
+                    ProgramRole::Simd => "simd",
+                    ProgramRole::Scalar => "scalar",
+                },
+            }
+        }
+        let prep = prepare(parse_kernel(FIR8).unwrap());
+        let target = slpwlo_targets::st240();
+        let tabu = TabuOptions::default();
+        // One leg on FIR8 (three blocks) on ST240 at -40 dB. A leg whose
+        // extraction found groups hands the guard's grouped and
+        // group-free candidate lowerings over; a leg without groups only
+        // the one lowering. WLO-First also reports its seed spec.
+        const SLP_PACKED: &[&str] = &[
+            "kernel",
+            "spec",
+            "groups",
+            "groups",
+            "groups",
+            "candidate",
+            "candidate",
+            "final-groups",
+            "final-groups",
+            "final-groups",
+            "simd",
+            "scalar",
+        ];
+        const FIRST_PACKED: &[&str] = &[
+            "kernel",
+            "seed-spec",
+            "spec",
+            "groups",
+            "groups",
+            "groups",
+            "candidate",
+            "candidate",
+            "final-groups",
+            "final-groups",
+            "final-groups",
+            "simd",
+            "scalar",
+        ];
+        const FIRST_BARE: &[&str] = &[
+            "kernel",
+            "seed-spec",
+            "spec",
+            "groups",
+            "groups",
+            "groups",
+            "candidate",
+            "final-groups",
+            "final-groups",
+            "final-groups",
+            "simd",
+            "scalar",
+        ];
+        // The two-leg portfolio runs the exact leg, then the greedy one.
+        let cases: [(BenefitKind, &[&[&str]], &[&[&str]]); 2] = [
+            (BenefitKind::Cycles, &[SLP_PACKED], &[FIRST_BARE]),
+            (
+                BenefitKind::optimal(),
+                &[SLP_PACKED, SLP_PACKED],
+                &[FIRST_PACKED, FIRST_BARE],
+            ),
+        ];
+        for (benefit, expect_slp, expect_first) in cases {
+            let mut slp = Vec::new();
+            wlo_slp_flow_checked(
+                &prep,
+                &target,
+                -40.0,
+                benefit,
+                SchedKind::List,
+                &mut |a: PassArtifact<'_>| {
+                    slp.push(label(&a));
+                    Ok::<_, std::convert::Infallible>(())
+                },
+            )
+            .unwrap();
+            let mut first = Vec::new();
+            wlo_first_flow_checked(
+                &prep,
+                &target,
+                -40.0,
+                &tabu,
+                benefit,
+                SchedKind::List,
+                &mut |a: PassArtifact<'_>| {
+                    first.push(label(&a));
+                    Ok::<_, std::convert::Infallible>(())
+                },
+            )
+            .unwrap();
+            assert_eq!(slp, expect_slp.concat(), "WLO-SLP under {benefit}");
+            assert_eq!(first, expect_first.concat(), "WLO-First under {benefit}");
+        }
+    }
+
     #[test]
     fn flows_are_deterministic() {
         let prep = prepare(parse_kernel(FIR8).unwrap());
