@@ -32,11 +32,6 @@ pub struct GainOptions {
     /// Worker threads for the impulse-source sweep (`0` = one per
     /// available core). Results are identical for any thread count.
     pub threads: usize,
-    /// Restrict each impulse lane's evaluation to its source's influence
-    /// cone and retire lanes past their deviation lifetime (see
-    /// [`ConeIndex`]). Results are bitwise identical either way; `false`
-    /// forces the dense sweep (ablation / differential testing).
-    pub cone: bool,
 }
 
 impl Default for GainOptions {
@@ -48,7 +43,6 @@ impl Default for GainOptions {
             param_activations: 1024,
             param_seed: 0x9A1A5,
             threads: 0,
-            cone: true,
         }
     }
 }
@@ -168,31 +162,26 @@ pub fn expr_executions(kernel: &Kernel) -> Vec<u64> {
 /// carries a lane of deviation state per pending (source × execution
 /// instance) impulse, the lanes retiring early on the `tail_epsilon`
 /// criterion — and the source sweep is sharded across `threads` scoped
-/// workers. With `opts.cone` set (the default) each lane is further
-/// evaluated only over its source's influence cone and retired as soon
-/// as its deviation lifetime has provably elapsed. Per-source results
-/// are bitwise identical to the one run per impulse of
-/// [`measure_gains_reference`], for any thread count and cone toggle.
-pub fn measure_gains(kernel: &Kernel, opts: &GainOptions) -> NoiseGains {
-    measure_gains_with(kernel, opts, None)
-}
-
-/// [`measure_gains`] against a caller-provided [`ConeIndex`] (built once
-/// per kernel and reused across analyses). Builds a local index when
-/// `opts.cone` is set and none is supplied; ignores a supplied index
-/// when `opts.cone` is unset.
-pub fn measure_gains_with(
-    kernel: &Kernel,
-    opts: &GainOptions,
-    cone: Option<&ConeIndex>,
-) -> NoiseGains {
+/// workers. Each lane is further evaluated only over its source's
+/// influence cone and retired as soon as its deviation lifetime has
+/// provably elapsed; `cone` is the kernel's [`ConeIndex`] when the
+/// caller already built one (`None` builds a local index). Per-source
+/// results are bitwise identical to the one run per impulse of
+/// [`measure_gains_reference`], for any thread count.
+pub fn measure_gains(kernel: &Kernel, opts: &GainOptions, cone: Option<&ConeIndex>) -> NoiseGains {
     let built;
-    let cone = match (opts.cone, cone) {
-        (false, _) => None,
-        (true, Some(c)) => Some(c),
-        (true, None) => {
+    let cone = match cone {
+        Some(c) => {
+            assert_eq!(
+                c.expr_count(),
+                kernel.expr_count(),
+                "cone index built for a different kernel"
+            );
+            c
+        }
+        None => {
             built = ConeIndex::build(kernel);
-            Some(&built)
+            &built
         }
     };
     let sources = noise_source_exprs(kernel);
@@ -218,7 +207,7 @@ pub fn measure_gains_with(
     let mut gains = NoiseGains::new(kernel.expr_count());
     for (src, g2) in param_srcs
         .iter()
-        .zip(param_sensitivities(kernel, &param_srcs, opts, cone))
+        .zip(param_sensitivities(kernel, &param_srcs, opts))
     {
         gains.insert(*src, (0.0, g2));
     }
@@ -270,35 +259,25 @@ fn impulse_gains(
     kernel: &Kernel,
     srcs: &[(ExprId, u64)],
     opts: &GainOptions,
-    cone: Option<&ConeIndex>,
+    cone: &ConeIndex,
 ) -> Vec<(ExprId, f64, f64)> {
     if srcs.is_empty() {
         return Vec::new();
     }
-    // With a cone index, pack lanes of similar deviation lifetime into
-    // the same batch (per-source sums are independent of batch
-    // composition, and the final list is re-sorted by source anyway), so
-    // short-lived batches retire wholesale instead of idling behind one
-    // long-lived lane.
-    let sorted;
-    let srcs = match cone {
-        Some(c) => {
-            let mut v = srcs.to_vec();
-            v.sort_by_key(|&(e, _)| (c.life(e).map_or(u32::MAX, |lf| lf), e.index()));
-            sorted = v;
-            &sorted[..]
-        }
-        None => srcs,
-    };
+    // Pack lanes of similar deviation lifetime into the same batch
+    // (per-source sums are independent of batch composition, and the
+    // final list is re-sorted by source anyway), so short-lived batches
+    // retire wholesale instead of idling behind one long-lived lane.
+    let mut srcs = srcs.to_vec();
+    srcs.sort_by_key(|&(e, _)| (cone.life(e).map_or(u32::MAX, |lf| lf), e.index()));
+    let srcs = &srcs[..];
     // Static lane retirement is bitwise-safe only while the zero-input
     // baseline provably stays finite, which holds exactly when every
     // expression's deviation lifetime is finite (no unbounded feedback
     // carrier reaches an output).
-    let lives: Option<Vec<u32>> = cone.and_then(|c| {
-        (0..kernel.expr_count())
-            .map(|i| c.life(ExprId(i as u32)))
-            .collect()
-    });
+    let lives: Option<Vec<u32>> = (0..kernel.expr_count())
+        .map(|i| cone.life(ExprId(i as u32)))
+        .collect();
     let lives = lives.as_deref();
     let threads = match opts.threads {
         0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
@@ -312,7 +291,7 @@ fn impulse_gains(
             // chunks() of a precomputed length keeps sources grouped the
             // same way regardless of arrival order; correctness only
             // needs each source whole within one batch.
-            run_impulse_batch(kernel, srcs, chunk, opts, cone, lives, &mut out);
+            run_impulse_batch(kernel, srcs, chunk, opts, lives, &mut out);
         }
         out.sort_by_key(|&(e, _, _)| e.index());
         return out;
@@ -338,7 +317,7 @@ fn impulse_gains(
                     if batch.is_empty() {
                         break;
                     }
-                    run_impulse_batch(kernel, srcs, &batch, opts, cone, lives, &mut local);
+                    run_impulse_batch(kernel, srcs, &batch, opts, lives, &mut local);
                 }
                 results.lock().expect("worker panicked").extend(local);
             });
@@ -377,7 +356,6 @@ fn run_impulse_batch(
     srcs: &[(ExprId, u64)],
     batch: &[usize],
     opts: &GainOptions,
-    cone: Option<&ConeIndex>,
     lives: Option<&[u32]>,
     out: &mut Vec<(ExprId, f64, f64)>,
 ) {
@@ -401,10 +379,7 @@ fn run_impulse_batch(
     // stay sorted too and statically-dead lanes always form a prefix.
     let life_by_id: Option<Vec<u32>> =
         lives.map(|lv| channels.iter().map(|ch| lv[ch.target.index()]).collect());
-    let mut ex = match cone {
-        Some(c) => BatchExecutor::with_cone(kernel, channels, c),
-        None => BatchExecutor::new(kernel, channels),
-    };
+    let mut ex = BatchExecutor::new(kernel, channels);
     let zero = vec![0.0; kernel.inputs().len()];
     let mut s1 = vec![0.0; n_ch];
     let mut s2 = vec![0.0; n_ch];
@@ -547,12 +522,7 @@ fn param_input_matrix(kernel: &Kernel, opts: &GainOptions) -> Vec<Vec<f64>> {
 /// source — each lane bitwise identical to the solo perturbed run of
 /// [`param_sensitivity`], and the executor's internal baseline lane
 /// standing in (bitwise) for the solo unperturbed run.
-fn param_sensitivities(
-    kernel: &Kernel,
-    srcs: &[ExprId],
-    opts: &GainOptions,
-    cone: Option<&ConeIndex>,
-) -> Vec<f64> {
+fn param_sensitivities(kernel: &Kernel, srcs: &[ExprId], opts: &GainOptions) -> Vec<f64> {
     const DELTA: f64 = 1e-4;
     if srcs.is_empty() {
         return Vec::new();
@@ -573,10 +543,7 @@ fn param_sensitivities(
             amount: DELTA,
         })
         .collect();
-    let mut ex = match cone {
-        Some(c) => BatchExecutor::with_cone(kernel, channels, c),
-        None => BatchExecutor::new(kernel, channels),
-    };
+    let mut ex = BatchExecutor::new(kernel, channels);
     // Base and perturbed trajectories per (lane, output), activation-
     // indexed.
     let mut base = vec![vec![0.0; acts]; n_out];
@@ -779,7 +746,7 @@ kernel fir4 {
     #[test]
     fn fir_input_gain_is_coefficient_energy() {
         let k = parse_kernel(FIR4).unwrap();
-        let gains = measure_gains(&k, &GainOptions::default());
+        let gains = measure_gains(&k, &GainOptions::default(), None);
         // The input-conversion site's noise passes through the filter:
         // G1 = sum(c), G2 = sum(c^2).
         let (input_expr, _) = k
@@ -797,7 +764,7 @@ kernel fir4 {
     #[test]
     fn fir_accumulator_add_gain_counts_trips() {
         let k = parse_kernel(FIR4).unwrap();
-        let gains = measure_gains(&k, &GainOptions::default());
+        let gains = measure_gains(&k, &GainOptions::default(), None);
         // Each execution of the accumulator add reaches the output once
         // with unit gain; 4 executions per activation => G1 = G2 = 4.
         let (add_expr, _) = k
@@ -823,7 +790,7 @@ kernel iir1 {
 }
 "#;
         let k = parse_kernel(src).unwrap();
-        let gains = measure_gains(&k, &GainOptions::default());
+        let gains = measure_gains(&k, &GainOptions::default(), None);
         // Noise at the output add recirculates: h = (1, .5, .25, ...):
         // G1 = 1/(1-0.5) = 2, G2 = 1/(1-0.25) = 4/3.
         let (add_expr, _) = k
@@ -858,7 +825,7 @@ kernel iir1 {
         let reference = measure_gains_reference(k, opts);
         for threads in [1usize, 3] {
             let opts = GainOptions { threads, ..*opts };
-            let batched = measure_gains(k, &opts);
+            let batched = measure_gains(k, &opts, None);
             assert_eq!(batched.len(), reference.len());
             for (e, (g1, g2)) in reference.iter() {
                 let (b1, b2) = batched.get(e);
@@ -904,7 +871,7 @@ kernel iir1 {
         // Note: `x + x` is invalid (double use); build a correct variant.
         let src = src.replace("x + x", "x * 1.0");
         let k = parse_kernel(&src).unwrap();
-        let gains = measure_gains(&k, &GainOptions::default());
+        let gains = measure_gains(&k, &GainOptions::default(), None);
         let execs = expr_executions(&k);
         for (e, _) in k.exprs() {
             if execs[e.index()] == 0 {

@@ -14,7 +14,7 @@
 //! * values stored to a state array are additionally quantized to the
 //!   array's storage grid, folded into the producing node's source.
 
-use crate::gains::{measure_gains_with, GainOptions, NoiseGains};
+use crate::gains::{measure_gains, GainOptions, NoiseGains};
 use slpwlo_fixedpoint::quantize::{noise_stats, QuantizeMode};
 use slpwlo_fixedpoint::spec::{FixedPointSpec, SpecKey};
 use slpwlo_ir::cone::{var_flow, ConeIndex};
@@ -157,15 +157,11 @@ pub struct AnalyticalEvaluator {
 impl AnalyticalEvaluator {
     /// Builds the evaluator for a kernel: measures noise gains (the
     /// expensive, once-per-kernel part) and resolves operand grids.
-    pub fn new(kernel: &Kernel, opts: &EvalOptions) -> Self {
-        Self::new_with_cone(kernel, opts, None)
-    }
-
-    /// [`new`](Self::new) against a caller-provided [`ConeIndex`], so a
-    /// pipeline that already built one (e.g. `prepare_with`) does not pay
-    /// for it twice.
+    /// `cone` is the kernel's [`ConeIndex`] when the caller already built
+    /// one (e.g. `prepare_with`), so it is not paid for twice; `None`
+    /// builds a local index.
     pub fn new_with_cone(kernel: &Kernel, opts: &EvalOptions, cone: Option<&ConeIndex>) -> Self {
-        let gains = measure_gains_with(kernel, &opts.gains, cone);
+        let gains = measure_gains(kernel, &opts.gains, cone);
         let sources = enumerate_sources(kernel);
         AnalyticalEvaluator {
             gains,
@@ -176,7 +172,7 @@ impl AnalyticalEvaluator {
 
     /// Builds the evaluator with default options.
     pub fn with_defaults(kernel: &Kernel) -> Self {
-        Self::new(kernel, &EvalOptions::default())
+        Self::new_with_cone(kernel, &EvalOptions::default(), None)
     }
 
     /// Linear output noise power for a specification.

@@ -12,8 +12,8 @@ use slpwlo_fixedpoint::FixedPointSpec;
 use slpwlo_ir::blocks::blocks_by_priority;
 use slpwlo_ir::dfg::Dfg;
 use slpwlo_kernels::{conv3x3, fir64};
-use slpwlo_slp::{extract_plain, Round};
-use slpwlo_targets::xentium;
+use slpwlo_slp::{extract_plain, BenefitKind, Round};
+use slpwlo_targets::{xentium, CycleCache, SchedKind};
 
 fn main() {
     let mut m = Micro::for_bench("algorithms");
@@ -32,7 +32,7 @@ fn main() {
     let dfg = Dfg::from_block(&kernel, &blocks[0]);
     m.bench("slp_round_conv3x3", || Round::new(&dfg, &target, &[]));
     m.bench("slp_extract_plain_conv3x3", || {
-        extract_plain(&dfg, &target, &|_| 16)
+        extract_plain(&dfg, &target, &|_| 16, BenefitKind::Cycles)
     });
 
     m.bench("tabu_wlo_fir64", || {
@@ -49,7 +49,7 @@ fn main() {
 
     let prog = lower_scalar(&prep.kernel, &spec, &target);
     m.bench("vliw_schedule_fir64", || {
-        cycles_per_activation(&target, &prog)
+        cycles_per_activation(&CycleCache::new(&target), &prog, SchedKind::List)
     });
 
     // True end-to-end runs: kernel in, optimized report out — range

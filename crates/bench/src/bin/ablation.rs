@@ -36,9 +36,8 @@
 use slpwlo_bench::micro::{Micro, MicroOptions};
 use slpwlo_core::hooks::AccuracyHooks;
 use slpwlo_core::{
-    cycles_per_activation, cycles_per_activation_cached, lower_fixed, lower_scalar,
-    modulo_attempt_cached, modulo_bounds_cached, prepare, scaling_optimize, ModuloAttempt,
-    SchedKind,
+    cycles_per_activation, lower_fixed, lower_scalar, modulo_attempt_cached, modulo_bounds_cached,
+    prepare, scaling_optimize, ModuloAttempt, SchedKind,
 };
 use slpwlo_driver::{
     required_constraint, BenefitKind, CompilationFlow, Error, FlowContext, FlowKind, FlowOutput,
@@ -48,10 +47,7 @@ use slpwlo_fixedpoint::FixedPointSpec;
 use slpwlo_ir::blocks::blocks_by_priority;
 use slpwlo_ir::dfg::Dfg;
 use slpwlo_kernels::{all_benchmarks, paper_benchmarks, Benchmark};
-use slpwlo_slp::{
-    absorb_selected, run_selection, BenefitModel, CandidateView, Round, SelectHooks, SelectStats,
-    SimdGroup,
-};
+use slpwlo_slp::{extract_rounds, BenefitModel, CandidateView, Round, SelectHooks, SelectStats};
 use slpwlo_targets::{all_targets, st240, vex, xentium, CycleCache, TargetModel};
 
 /// Accuracy hooks with the pairwise conflict detection disabled.
@@ -94,26 +90,18 @@ impl CompilationFlow for AblatedWloSlp {
         let target = ctx.target;
         let mut spec = FixedPointSpec::from_ranges(&prep.kernel, &prep.ranges, target.max_wl());
         let mut per_block = Vec::new();
+        let mut select = SelectStats::default();
         for block in blocks_by_priority(&prep.kernel) {
             let dfg = Dfg::from_block(&prep.kernel, &block);
-            let mut groups: Vec<SimdGroup> = Vec::new();
-            loop {
-                let round = Round::new(&dfg, target, &groups);
-                let selected = {
-                    let inner = AccuracyHooks::new(&dfg, &mut spec, &prep.eval, db);
-                    if self.0 == Ablate::AccConflicts {
-                        let mut hooks = NoConflictHooks(inner);
-                        run_selection(&dfg, target, &round, &groups, &mut hooks)
-                    } else {
-                        let mut hooks = inner;
-                        run_selection(&dfg, target, &round, &groups, &mut hooks)
-                    }
-                };
-                if selected.is_empty() {
-                    break;
+            let groups = {
+                let mut hooks = AccuracyHooks::new(&dfg, &mut spec, &prep.eval, db);
+                if self.0 == Ablate::AccConflicts {
+                    let mut hooks = NoConflictHooks(hooks);
+                    extract_rounds(&dfg, target, &mut hooks, ctx.benefit, &mut select)
+                } else {
+                    extract_rounds(&dfg, target, &mut hooks, ctx.benefit, &mut select)
                 }
-                absorb_selected(&mut groups, selected);
-            }
+            };
             if self.0 != Ablate::Scalopt {
                 let _ = scaling_optimize(&mut spec, &dfg, &groups, &prep.eval, db, target);
             }
@@ -130,7 +118,7 @@ impl CompilationFlow for AblatedWloSlp {
             scalar,
             group_count,
             noise_db: Some(noise_db),
-            select: SelectStats::default(),
+            select,
         })
     }
 }
@@ -148,6 +136,7 @@ fn benefit_model_study() -> Result<(), Error> {
     );
     for bench in all_benchmarks() {
         for target in all_targets() {
+            let costs = CycleCache::new(&target);
             let mut per_model = Vec::new();
             for kind in [BenefitKind::Slots, BenefitKind::Cycles] {
                 let opt = Optimizer::for_kernel(bench.kernel.clone())?
@@ -167,7 +156,7 @@ fn benefit_model_study() -> Result<(), Error> {
                     || report = Some(opt.run().expect("feasible point")),
                 );
                 let report = report.expect("bench ran at least once");
-                let cpa = cycles_per_activation(&target, &report.simd);
+                let cpa = cycles_per_activation(&costs, &report.simd, SchedKind::List);
                 micro.metric(
                     &format!("cpa/{}/{}/{kind}", bench.name, target.name),
                     cpa as f64,
@@ -202,7 +191,7 @@ fn pricing_overhead(micro: &mut Micro, bench: &Benchmark, target: &TargetModel) 
         .collect();
     let max_wl = target.max_wl();
     // Selection shares one price cache across model rebuilds
-    // (`run_selection_with` hoists it out of the loop); mirror that here
+    // (`run_selection` hoists it out of the loop); mirror that here
     // so the sweep prices through a warmed cache, not cold target folds.
     let prices = CycleCache::new(target);
     let mut medians = [0.0f64; 2];
@@ -298,7 +287,7 @@ fn sched_study() -> Result<(), Error> {
                     .flow(FlowKind::WloSlp)
                     .sched_kind(sched)
                     .run()?;
-                cpa[k] = cycles_per_activation_cached(&costs, &report.simd, sched);
+                cpa[k] = cycles_per_activation(&costs, &report.simd, sched);
                 groups[k] = report.group_count;
                 micro.metric(
                     &format!("sched_cpa/{}/{}/{label}", bench.name, target.name),
@@ -313,7 +302,7 @@ fn sched_study() -> Result<(), Error> {
                 // branch-and-bound search every call).
                 micro.bench(
                     &format!("sched_price/{}/{}/{label}", bench.name, target.name),
-                    || cycles_per_activation_cached(&costs, &report.simd, sched),
+                    || cycles_per_activation(&costs, &report.simd, sched),
                 );
                 if let SchedKind::Modulo { budget } = sched {
                     for block in &report.simd.blocks {
@@ -402,6 +391,7 @@ fn optimal_study() -> Result<(), Error> {
     let (mut rounds, mut improved, mut budget_fallbacks) = (0u64, 0u64, 0u64);
     let mut improved_points = 0usize;
     for target in [xentium(), vex(1)] {
+        let costs = CycleCache::new(&target);
         println!(
             "\nGreedy vs exact pack selection on {} (cycles/activation at -40 dB)\n\
              {:<18} {:>10} {:>10} {:>8} {:>10}",
@@ -432,7 +422,7 @@ fn optimal_study() -> Result<(), Error> {
                     || report = Some(opt.run().expect("feasible point")),
                 );
                 let report = report.expect("bench ran at least once");
-                cpa[k] = cycles_per_activation(&target, &report.simd);
+                cpa[k] = cycles_per_activation(&costs, &report.simd, SchedKind::List);
                 micro.metric(
                     &format!("optimal_cpa/{}/{}/{label}", bench.name, target.name),
                     cpa[k] as f64,

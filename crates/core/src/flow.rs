@@ -14,16 +14,17 @@
 
 use crate::lower::{lower_fixed, lower_scalar, MachineProgram};
 use crate::nodes::{value_format, value_wl};
+use crate::sched::{block_activation_cycles_cached, cycles_per_activation};
 use crate::tabu::{tabu_wlo, TabuOptions};
 use crate::wlo_slp::wlo_slp_sched;
 use slpwlo_accuracy::{AccuracyEvaluator, AnalyticalEvaluator, EvalOptions, IncrementalEvaluator};
 use slpwlo_fixedpoint::range::{RangeAnalysis, RangeOptions, Ranges};
 use slpwlo_fixedpoint::FixedPointSpec;
-use slpwlo_ir::blocks::collect_blocks;
+use slpwlo_ir::blocks::{collect_blocks, Block};
 use slpwlo_ir::dfg::{Dfg, NodeId};
 use slpwlo_ir::{ConeIndex, Kernel};
-use slpwlo_slp::{extract_rounds_stats, BenefitKind, CandidateView, SelectHooks, SelectStats};
-use slpwlo_targets::{SchedKind, TargetModel};
+use slpwlo_slp::{extract_rounds, BenefitKind, CandidateView, SelectHooks, SelectStats, SimdGroup};
+use slpwlo_targets::{CycleCache, SchedKind, TargetModel};
 
 /// A kernel with its once-per-kernel analyses (ranges, noise gains).
 ///
@@ -74,40 +75,18 @@ pub fn prepare_with(kernel: Kernel, opts: &EvalOptions) -> Prepared {
 /// supplies word lengths for candidate validation *and* the full format
 /// context (`current_wl`/`current_fwl`) the cycle-priced benefit model
 /// reads; no scaling equalization follows, so mismatched scalings keep
-/// their fig. 2 price.
+/// their fig. 2 price. `sched` is the scheduler the flow will run (the
+/// benefit model relaxes its latency hedge when iterations will
+/// overlap); the exact selector's search statistics accumulate into
+/// `stats` (untouched under the greedy kinds).
 pub fn extract_on_spec(
-    kernel: &Kernel,
-    spec: &FixedPointSpec,
-    target: &TargetModel,
-    benefit: BenefitKind,
-) -> Vec<(slpwlo_ir::blocks::Block, Dfg, Vec<slpwlo_slp::SimdGroup>)> {
-    extract_on_spec_sched(kernel, spec, target, benefit, SchedKind::List)
-}
-
-/// [`extract_on_spec`] pricing candidates under an explicit scheduler
-/// kind (the benefit model relaxes its latency hedge when iterations
-/// will overlap).
-pub fn extract_on_spec_sched(
-    kernel: &Kernel,
-    spec: &FixedPointSpec,
-    target: &TargetModel,
-    benefit: BenefitKind,
-    sched: SchedKind,
-) -> Vec<(slpwlo_ir::blocks::Block, Dfg, Vec<slpwlo_slp::SimdGroup>)> {
-    let mut stats = SelectStats::default();
-    extract_on_spec_stats(kernel, spec, target, benefit, sched, &mut stats)
-}
-
-/// [`extract_on_spec_sched`] accumulating the exact selector's search
-/// statistics into `stats` (untouched under the greedy kinds).
-pub fn extract_on_spec_stats(
     kernel: &Kernel,
     spec: &FixedPointSpec,
     target: &TargetModel,
     benefit: BenefitKind,
     sched: SchedKind,
     stats: &mut SelectStats,
-) -> Vec<(slpwlo_ir::blocks::Block, Dfg, Vec<slpwlo_slp::SimdGroup>)> {
+) -> Vec<(Block, Dfg, Vec<SimdGroup>)> {
     struct FrozenSpecHooks<'a> {
         target: &'a TargetModel,
         spec: &'a FixedPointSpec,
@@ -144,7 +123,7 @@ pub fn extract_on_spec_stats(
                     dfg: &dfg,
                     sched,
                 };
-                extract_rounds_stats(&dfg, target, &mut hooks, benefit, stats)
+                extract_rounds(&dfg, target, &mut hooks, benefit, stats)
             };
             (b, dfg, groups)
         })
@@ -194,7 +173,7 @@ pub enum PassArtifact<'a> {
         /// The block's data-flow graph.
         dfg: &'a Dfg,
         /// The selected groups.
-        groups: &'a [slpwlo_slp::SimdGroup],
+        groups: &'a [SimdGroup],
         /// The target the grouping must be realisable on.
         target: &'a TargetModel,
         /// Which block the grouping belongs to.
@@ -216,19 +195,6 @@ pub enum PassArtifact<'a> {
     },
 }
 
-/// The always-passing boundary callback of the unchecked flow entry
-/// points.
-fn unchecked(_: PassArtifact<'_>) -> Result<(), std::convert::Infallible> {
-    Ok(())
-}
-
-fn into_ok<T>(r: Result<T, std::convert::Infallible>) -> T {
-    match r {
-        Ok(v) => v,
-        Err(e) => match e {},
-    }
-}
-
 /// The scheduler guard: the benefit model is a per-candidate estimate;
 /// the configured scheduler (`sched`) is the arbiter. Every block's
 /// selected groups are kept only if the block's vectorized form
@@ -243,11 +209,9 @@ fn prune_unprofitable_groups<E>(
     spec: &FixedPointSpec,
     target: &TargetModel,
     sched: SchedKind,
-    blocks: &mut [(slpwlo_ir::blocks::Block, Dfg, Vec<slpwlo_slp::SimdGroup>)],
+    blocks: &mut [(Block, Dfg, Vec<SimdGroup>)],
     check: &mut dyn FnMut(PassArtifact<'_>) -> Result<(), E>,
 ) -> Result<MachineProgram, E> {
-    use crate::sched::block_activation_cycles_cached;
-    use slpwlo_targets::CycleCache;
     fn candidate<'a>(
         p: &'a MachineProgram,
         target: &'a TargetModel,
@@ -330,71 +294,19 @@ pub struct FlowResult {
     pub select: SelectStats,
 }
 
-/// Portfolio arbitration for [`BenefitKind::Optimal`]: per-round
-/// model-value optimality does not by itself bound the *final* scheduled
-/// cycle count (rounds interact through `SETMAXWL`, and the scheduler
-/// guard re-prices whole blocks), so the flow also runs the greedy
-/// cycle-priced leg end to end and returns whichever program schedules
-/// faster — ties go to the exact leg, keeping budget-0 runs bitwise
-/// identical to greedy. A greedy win bumps `select.portfolio_fallbacks`;
-/// the exact leg's search statistics are carried either way.
-fn arbitrate_portfolio<E>(
-    exact: FlowResult,
-    benefit: BenefitKind,
-    target: &TargetModel,
-    sched: SchedKind,
-    greedy_leg: &mut dyn FnMut(BenefitKind) -> Result<FlowResult, E>,
-) -> Result<FlowResult, E> {
-    if !matches!(benefit, BenefitKind::Optimal { .. }) {
-        return Ok(exact);
-    }
-    let greedy = greedy_leg(BenefitKind::Cycles)?;
-    let costs = slpwlo_targets::CycleCache::new(target);
-    let exact_cycles = crate::sched::cycles_per_activation_cached(&costs, &exact.simd, sched);
-    let greedy_cycles = crate::sched::cycles_per_activation_cached(&costs, &greedy.simd, sched);
-    if greedy_cycles < exact_cycles {
-        let mut select = exact.select;
-        select.portfolio_fallbacks += 1;
-        Ok(FlowResult { select, ..greedy })
-    } else {
-        Ok(exact)
-    }
-}
-
 /// The paper's joint flow (`WLO-SLP`, fig. 3).
 ///
 /// The search runs over an [`IncrementalEvaluator`] layered on the
 /// prepared analytical model, so each accuracy trial re-walks only the
 /// touched noise sources; final reporting still uses the full evaluator.
-pub fn wlo_slp_flow(prep: &Prepared, target: &TargetModel, constraint_db: f64) -> FlowResult {
-    wlo_slp_flow_with(prep, target, constraint_db, BenefitKind::default())
-}
-
-/// [`wlo_slp_flow`] with an explicit SLP benefit strategy.
-pub fn wlo_slp_flow_with(
-    prep: &Prepared,
-    target: &TargetModel,
-    constraint_db: f64,
-    benefit: BenefitKind,
-) -> FlowResult {
-    into_ok(wlo_slp_flow_checked(
-        prep,
-        target,
-        constraint_db,
-        benefit,
-        SchedKind::List,
-        &mut unchecked,
-    ))
-}
-
-/// [`wlo_slp_flow_with`] with an explicit scheduler kind and a
-/// pass-boundary callback: every artifact the flow produces — the
-/// kernel, the optimized spec, each block's grouping before and after
-/// the scheduler guard, candidate lowerings and the final SIMD/scalar
-/// programs — is handed to `check` before the flow proceeds. An `Err`
-/// aborts the flow and surfaces unchanged; instantiate `E` as
-/// [`std::convert::Infallible`] for a free no-op. `sched` governs both
-/// the benefit model's admission hedge and the scheduler-guard pricing.
+///
+/// Every artifact the flow produces — the kernel, the optimized spec,
+/// each block's grouping before and after the scheduler guard, candidate
+/// lowerings and the final SIMD/scalar programs — is handed to `check`
+/// before the flow proceeds. An `Err` aborts the flow and surfaces
+/// unchanged; instantiate `E` as [`std::convert::Infallible`] for a free
+/// no-op. `sched` governs both the benefit model's admission hedge and
+/// the scheduler-guard pricing.
 ///
 /// Under [`BenefitKind::Optimal`] the flow runs twice — the exact leg
 /// and the greedy cycle-priced leg — and the faster-scheduling program
@@ -408,124 +320,38 @@ pub fn wlo_slp_flow_checked<E>(
     sched: SchedKind,
     check: &mut dyn FnMut(PassArtifact<'_>) -> Result<(), E>,
 ) -> Result<FlowResult, E> {
-    let exact = wlo_slp_flow_once(prep, target, constraint_db, benefit, sched, check)?;
-    arbitrate_portfolio(exact, benefit, target, sched, &mut |kind| {
-        wlo_slp_flow_once(prep, target, constraint_db, kind, sched, check)
-    })
-}
-
-fn wlo_slp_flow_once<E>(
-    prep: &Prepared,
-    target: &TargetModel,
-    constraint_db: f64,
-    benefit: BenefitKind,
-    sched: SchedKind,
-    check: &mut dyn FnMut(PassArtifact<'_>) -> Result<(), E>,
-) -> Result<FlowResult, E> {
-    check(PassArtifact::Kernel {
-        kernel: &prep.kernel,
-    })?;
-    let eval = IncrementalEvaluator::new(&prep.eval);
-    let res = wlo_slp_sched(
-        &prep.kernel,
+    run_flow(
+        prep,
         target,
-        &eval,
-        constraint_db,
-        &prep.ranges,
         benefit,
         sched,
-    );
-    check(PassArtifact::Spec {
-        kernel: &prep.kernel,
-        ranges: &prep.ranges,
-        spec: &res.spec,
-        is_final: true,
-    })?;
-    let mut blocks: Vec<_> = res
-        .blocks
-        .into_iter()
-        .map(|b| (b.block, b.dfg, b.groups))
-        .collect();
-    for (b, dfg, groups) in &blocks {
-        check(PassArtifact::Groups {
-            dfg,
-            groups,
-            target,
-            block: b.id,
-            is_final: false,
-        })?;
-    }
-    let simd =
-        prune_unprofitable_groups(&prep.kernel, &res.spec, target, sched, &mut blocks, check)?;
-    for (b, dfg, groups) in &blocks {
-        check(PassArtifact::Groups {
-            dfg,
-            groups,
-            target,
-            block: b.id,
-            is_final: true,
-        })?;
-    }
-    check(PassArtifact::Program {
-        program: &simd,
-        target,
-        role: ProgramRole::Simd,
-        sched,
-    })?;
-    let group_count = blocks.iter().map(|(_, _, g)| g.len()).sum();
-    let scalar = lower_scalar(&prep.kernel, &res.spec, target);
-    check(PassArtifact::Program {
-        program: &scalar,
-        target,
-        role: ProgramRole::Scalar,
-        sched,
-    })?;
-    let noise_db = prep.eval.noise_db(&res.spec);
-    Ok(FlowResult {
-        spec: res.spec,
-        simd,
-        scalar,
-        group_count,
-        noise_db,
-        select: res.select,
-    })
+        check,
+        &|eval, benefit, check| {
+            let res = wlo_slp_sched(
+                &prep.kernel,
+                target,
+                eval,
+                constraint_db,
+                &prep.ranges,
+                benefit,
+                sched,
+            );
+            check(spec_artifact(prep, &res.spec, true))?;
+            let blocks = res
+                .blocks
+                .into_iter()
+                .map(|b| (b.block, b.dfg, b.groups))
+                .collect();
+            Ok((res.spec, blocks, res.select))
+        },
+    )
 }
 
 /// The baseline flow (`WLO-First`, fig. 5): Tabu WLO first, SLP second,
-/// no accuracy awareness in the extraction and no scaling optimization.
-pub fn wlo_first_flow(
-    prep: &Prepared,
-    target: &TargetModel,
-    constraint_db: f64,
-    tabu: &TabuOptions,
-) -> FlowResult {
-    wlo_first_flow_with(prep, target, constraint_db, tabu, BenefitKind::default())
-}
-
-/// [`wlo_first_flow`] with an explicit SLP benefit strategy (the frozen
-/// Tabu specification is the word-length context of the cycle-priced
-/// model).
-pub fn wlo_first_flow_with(
-    prep: &Prepared,
-    target: &TargetModel,
-    constraint_db: f64,
-    tabu: &TabuOptions,
-    benefit: BenefitKind,
-) -> FlowResult {
-    into_ok(wlo_first_flow_checked(
-        prep,
-        target,
-        constraint_db,
-        tabu,
-        benefit,
-        SchedKind::List,
-        &mut unchecked,
-    ))
-}
-
-/// [`wlo_first_flow_with`] with an explicit scheduler kind and a
-/// pass-boundary callback; see [`wlo_slp_flow_checked`] for the
-/// contract (including the two-leg portfolio under
+/// no accuracy awareness in the extraction and no scaling optimization;
+/// the frozen Tabu specification is the word-length context of the
+/// cycle-priced benefit model. See [`wlo_slp_flow_checked`] for the
+/// `check` contract (including the two-leg portfolio under
 /// [`BenefitKind::Optimal`]). The pre-Tabu seed specification is
 /// reported with `is_final: false`.
 pub fn wlo_first_flow_checked<E>(
@@ -537,68 +363,132 @@ pub fn wlo_first_flow_checked<E>(
     sched: SchedKind,
     check: &mut dyn FnMut(PassArtifact<'_>) -> Result<(), E>,
 ) -> Result<FlowResult, E> {
-    let exact = wlo_first_flow_once(prep, target, constraint_db, tabu, benefit, sched, check)?;
-    arbitrate_portfolio(exact, benefit, target, sched, &mut |kind| {
-        wlo_first_flow_once(prep, target, constraint_db, tabu, kind, sched, check)
-    })
+    run_flow(
+        prep,
+        target,
+        benefit,
+        sched,
+        check,
+        &|eval, benefit, check| {
+            let mut spec = FixedPointSpec::from_ranges(&prep.kernel, &prep.ranges, target.max_wl());
+            check(spec_artifact(prep, &spec, false))?;
+            tabu_wlo(
+                &prep.kernel,
+                &mut spec,
+                eval,
+                constraint_db,
+                &target.scalar_wls,
+                tabu,
+            );
+            check(spec_artifact(prep, &spec, true))?;
+            let mut select = SelectStats::default();
+            let blocks = extract_on_spec(&prep.kernel, &spec, target, benefit, sched, &mut select);
+            Ok((spec, blocks, select))
+        },
+    )
 }
 
-fn wlo_first_flow_once<E>(
+fn check_groups<E>(
+    blocks: &[(Block, Dfg, Vec<SimdGroup>)],
+    target: &TargetModel,
+    is_final: bool,
+    check: &mut dyn FnMut(PassArtifact<'_>) -> Result<(), E>,
+) -> Result<(), E> {
+    for (b, dfg, groups) in blocks {
+        check(PassArtifact::Groups {
+            dfg,
+            groups,
+            target,
+            block: b.id,
+            is_final,
+        })?;
+    }
+    Ok(())
+}
+
+fn spec_artifact<'a>(
+    prep: &'a Prepared,
+    spec: &'a FixedPointSpec,
+    is_final: bool,
+) -> PassArtifact<'a> {
+    PassArtifact::Spec {
+        kernel: &prep.kernel,
+        ranges: &prep.ranges,
+        spec,
+        is_final,
+    }
+}
+
+/// A flow's WLO step: given the leg's incremental evaluator and SLP
+/// benefit kind, produces the final specification (handing every spec it
+/// derives to `check`), each block's grouping and the exact selector's
+/// search statistics.
+type WloStep<'s, E> = dyn Fn(
+        &dyn AccuracyEvaluator,
+        BenefitKind,
+        &mut dyn FnMut(PassArtifact<'_>) -> Result<(), E>,
+    ) -> Result<
+        (
+            FixedPointSpec,
+            Vec<(Block, Dfg, Vec<SimdGroup>)>,
+            SelectStats,
+        ),
+        E,
+    > + 's;
+
+/// The pass sequence both flows share, around their WLO step, plus the
+/// portfolio arbitration for [`BenefitKind::Optimal`]: per-round
+/// model-value optimality does not by itself bound the *final* scheduled
+/// cycle count (rounds interact through `SETMAXWL`, and the scheduler
+/// guard re-prices whole blocks), so the flow also runs the greedy
+/// cycle-priced leg end to end and returns whichever program schedules
+/// faster — ties go to the exact leg, keeping budget-0 runs bitwise
+/// identical to greedy. A greedy win bumps `select.portfolio_fallbacks`;
+/// the exact leg's search statistics are carried either way.
+fn run_flow<E>(
     prep: &Prepared,
     target: &TargetModel,
-    constraint_db: f64,
-    tabu: &TabuOptions,
     benefit: BenefitKind,
     sched: SchedKind,
     check: &mut dyn FnMut(PassArtifact<'_>) -> Result<(), E>,
+    wlo: &WloStep<'_, E>,
+) -> Result<FlowResult, E> {
+    let exact = flow_leg(prep, target, benefit, sched, check, wlo)?;
+    if !matches!(benefit, BenefitKind::Optimal { .. }) {
+        return Ok(exact);
+    }
+    let greedy = flow_leg(prep, target, BenefitKind::Cycles, sched, check, wlo)?;
+    let costs = CycleCache::new(target);
+    if cycles_per_activation(&costs, &greedy.simd, sched)
+        < cycles_per_activation(&costs, &exact.simd, sched)
+    {
+        let mut select = exact.select;
+        select.portfolio_fallbacks += 1;
+        Ok(FlowResult { select, ..greedy })
+    } else {
+        Ok(exact)
+    }
+}
+
+/// One leg of a flow: the kernel, the WLO step, the groupings before
+/// and after the scheduler guard, and the final SIMD and scalar
+/// lowerings, each handed to `check` in that order.
+fn flow_leg<E>(
+    prep: &Prepared,
+    target: &TargetModel,
+    benefit: BenefitKind,
+    sched: SchedKind,
+    check: &mut dyn FnMut(PassArtifact<'_>) -> Result<(), E>,
+    wlo: &WloStep<'_, E>,
 ) -> Result<FlowResult, E> {
     check(PassArtifact::Kernel {
         kernel: &prep.kernel,
     })?;
-    let mut spec = FixedPointSpec::from_ranges(&prep.kernel, &prep.ranges, target.max_wl());
-    check(PassArtifact::Spec {
-        kernel: &prep.kernel,
-        ranges: &prep.ranges,
-        spec: &spec,
-        is_final: false,
-    })?;
     let eval = IncrementalEvaluator::new(&prep.eval);
-    tabu_wlo(
-        &prep.kernel,
-        &mut spec,
-        &eval,
-        constraint_db,
-        &target.scalar_wls,
-        tabu,
-    );
-    check(PassArtifact::Spec {
-        kernel: &prep.kernel,
-        ranges: &prep.ranges,
-        spec: &spec,
-        is_final: true,
-    })?;
-    let mut select = SelectStats::default();
-    let mut blocks =
-        extract_on_spec_stats(&prep.kernel, &spec, target, benefit, sched, &mut select);
-    for (b, dfg, groups) in &blocks {
-        check(PassArtifact::Groups {
-            dfg,
-            groups,
-            target,
-            block: b.id,
-            is_final: false,
-        })?;
-    }
+    let (spec, mut blocks, select) = wlo(&eval, benefit, check)?;
+    check_groups(&blocks, target, false, check)?;
     let simd = prune_unprofitable_groups(&prep.kernel, &spec, target, sched, &mut blocks, check)?;
-    for (b, dfg, groups) in &blocks {
-        check(PassArtifact::Groups {
-            dfg,
-            groups,
-            target,
-            block: b.id,
-            is_final: true,
-        })?;
-    }
+    check_groups(&blocks, target, true, check)?;
     check(PassArtifact::Program {
         program: &simd,
         target,
@@ -646,13 +536,41 @@ kernel fir8 {
 }
 "#;
 
+    fn joint(prep: &Prepared, target: &TargetModel, db: f64) -> FlowResult {
+        let unchecked = &mut |_: PassArtifact<'_>| Ok::<_, std::convert::Infallible>(());
+        wlo_slp_flow_checked(
+            prep,
+            target,
+            db,
+            BenefitKind::Cycles,
+            SchedKind::List,
+            unchecked,
+        )
+        .unwrap()
+    }
+
+    fn first(prep: &Prepared, target: &TargetModel, db: f64) -> FlowResult {
+        let unchecked = &mut |_: PassArtifact<'_>| Ok::<_, std::convert::Infallible>(());
+        let tabu = TabuOptions::default();
+        wlo_first_flow_checked(
+            prep,
+            target,
+            db,
+            &tabu,
+            BenefitKind::Cycles,
+            SchedKind::List,
+            unchecked,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn both_flows_meet_the_constraint() {
         let prep = prepare(parse_kernel(FIR8).unwrap());
         let target = xentium();
         for db in [-20.0, -50.0, -80.0] {
-            let a = wlo_slp_flow(&prep, &target, db);
-            let b = wlo_first_flow(&prep, &target, db, &TabuOptions::default());
+            let a = joint(&prep, &target, db);
+            let b = first(&prep, &target, db);
             assert!(a.noise_db <= db, "WLO-SLP at {db}: {}", a.noise_db);
             assert!(b.noise_db <= db, "WLO-First at {db}: {}", b.noise_db);
         }
@@ -660,24 +578,26 @@ kernel fir8 {
 
     #[test]
     fn wlo_slp_packs_where_it_pays_and_never_where_it_loses() {
-        use crate::sched::cycles_per_activation;
         let prep = prepare(parse_kernel(FIR8).unwrap());
         // ST240's single memory port makes FIR's vector loads genuinely
         // profitable: the joint flow must find (and keep) groups there.
         let st = slpwlo_targets::st240();
-        let a = wlo_slp_flow(&prep, &st, -40.0);
+        let a = joint(&prep, &st, -40.0);
         assert!(
             a.group_count > 0,
             "joint flow must find groups on ST240 at -40 dB"
         );
-        assert!(cycles_per_activation(&st, &a.simd) < cycles_per_activation(&st, &a.scalar));
+        let cpa = |target: &TargetModel, p: &MachineProgram| {
+            cycles_per_activation(&CycleCache::new(target), p, SchedKind::List)
+        };
+        assert!(cpa(&st, &a.simd) < cpa(&st, &a.scalar));
         // On 12-issue XENTIUM this tiny kernel is latency-bound: packing
         // cannot pay, and the scheduler guard must leave the program no
         // slower than its own scalar lowering.
         let x = xentium();
-        let b = wlo_slp_flow(&prep, &x, -40.0);
+        let b = joint(&prep, &x, -40.0);
         assert!(
-            cycles_per_activation(&x, &b.simd) <= cycles_per_activation(&x, &b.scalar),
+            cpa(&x, &b.simd) <= cpa(&x, &b.scalar),
             "the scheduler guard must never keep a losing pack"
         );
     }
@@ -711,56 +631,20 @@ kernel fir8 {
         // extraction found groups hands the guard's grouped and
         // group-free candidate lowerings over; a leg without groups only
         // the one lowering. WLO-First also reports its seed spec.
-        const SLP_PACKED: &[&str] = &[
-            "kernel",
-            "spec",
-            "groups",
-            "groups",
-            "groups",
-            "candidate",
-            "candidate",
-            "final-groups",
-            "final-groups",
-            "final-groups",
-            "simd",
-            "scalar",
-        ];
-        const FIRST_PACKED: &[&str] = &[
-            "kernel",
-            "seed-spec",
-            "spec",
-            "groups",
-            "groups",
-            "groups",
-            "candidate",
-            "candidate",
-            "final-groups",
-            "final-groups",
-            "final-groups",
-            "simd",
-            "scalar",
-        ];
-        const FIRST_BARE: &[&str] = &[
-            "kernel",
-            "seed-spec",
-            "spec",
-            "groups",
-            "groups",
-            "groups",
-            "candidate",
-            "final-groups",
-            "final-groups",
-            "final-groups",
-            "simd",
-            "scalar",
-        ];
+        const GUARD: &str = "groups groups groups candidate candidate \
+                             final-groups final-groups final-groups simd scalar";
+        const GUARD_BARE: &str = "groups groups groups candidate \
+                                  final-groups final-groups final-groups simd scalar";
+        let slp_packed = format!("kernel spec {GUARD}");
+        let first_packed = format!("kernel seed-spec spec {GUARD}");
+        let first_bare = format!("kernel seed-spec spec {GUARD_BARE}");
         // The two-leg portfolio runs the exact leg, then the greedy one.
-        let cases: [(BenefitKind, &[&[&str]], &[&[&str]]); 2] = [
-            (BenefitKind::Cycles, &[SLP_PACKED], &[FIRST_BARE]),
+        let cases = [
+            (BenefitKind::Cycles, slp_packed.clone(), first_bare.clone()),
             (
                 BenefitKind::optimal(),
-                &[SLP_PACKED, SLP_PACKED],
-                &[FIRST_PACKED, FIRST_BARE],
+                format!("{slp_packed} {slp_packed}"),
+                format!("{first_packed} {first_bare}"),
             ),
         ];
         for (benefit, expect_slp, expect_first) in cases {
@@ -791,8 +675,8 @@ kernel fir8 {
                 },
             )
             .unwrap();
-            assert_eq!(slp, expect_slp.concat(), "WLO-SLP under {benefit}");
-            assert_eq!(first, expect_first.concat(), "WLO-First under {benefit}");
+            assert_eq!(slp.join(" "), expect_slp, "WLO-SLP under {benefit}");
+            assert_eq!(first.join(" "), expect_first, "WLO-First under {benefit}");
         }
     }
 
@@ -800,8 +684,8 @@ kernel fir8 {
     fn flows_are_deterministic() {
         let prep = prepare(parse_kernel(FIR8).unwrap());
         let target = xentium();
-        let a1 = wlo_first_flow(&prep, &target, -45.0, &TabuOptions::default());
-        let a2 = wlo_first_flow(&prep, &target, -45.0, &TabuOptions::default());
+        let a1 = first(&prep, &target, -45.0);
+        let a2 = first(&prep, &target, -45.0);
         assert_eq!(a1.group_count, a2.group_count);
         assert_eq!(a1.simd.ops_per_activation(), a2.simd.ops_per_activation());
     }

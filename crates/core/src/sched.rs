@@ -157,20 +157,6 @@ impl<'t> Resources<'t> {
     }
 }
 
-/// List-schedules one block onto the target.
-pub fn schedule_block(target: &TargetModel, block: &MachineBlock) -> Schedule {
-    schedule_block_cached(&CycleCache::new(target), block, SchedKind::List)
-}
-
-/// Schedules one block under an explicit [`SchedKind`].
-pub fn schedule_block_with(
-    target: &TargetModel,
-    block: &MachineBlock,
-    kind: SchedKind,
-) -> Schedule {
-    schedule_block_cached(&CycleCache::new(target), block, kind)
-}
-
 /// Schedules one block, pricing ops through a shared [`CycleCache`] and
 /// dispatching on `kind`.
 ///
@@ -185,11 +171,7 @@ pub fn schedule_block_with(
 /// pipelinable *and* the search finds an II that strictly beats the list
 /// schedule's trip-weighted cost within the trial budget; every other
 /// outcome returns the list schedule unchanged.
-pub fn schedule_block_cached(
-    costs: &CycleCache<'_>,
-    block: &MachineBlock,
-    kind: SchedKind,
-) -> Schedule {
+pub fn schedule_block(costs: &CycleCache<'_>, block: &MachineBlock, kind: SchedKind) -> Schedule {
     match kind {
         SchedKind::List => list_schedule_cached(costs, block),
         SchedKind::Modulo { budget } => match modulo_attempt_cached(costs, block, budget) {
@@ -264,12 +246,7 @@ fn loop_overhead(target: &TargetModel) -> u64 {
 }
 
 /// Cycles for one execution of a block, including loop control overhead
-/// for in-loop blocks.
-pub fn block_cycles(target: &TargetModel, block: &MachineBlock) -> u64 {
-    block_cycles_cached(&CycleCache::new(target), block, SchedKind::List)
-}
-
-/// [`block_cycles`] pricing ops through a shared [`CycleCache`],
+/// for in-loop blocks, pricing ops through a shared [`CycleCache`] and
 /// dispatching on `kind`.
 ///
 /// Under a pipelined modulo schedule this is the **steady-state** cost of
@@ -277,8 +254,8 @@ pub fn block_cycles(target: &TargetModel, block: &MachineBlock) -> u64 {
 /// quantity (fill/drain and the once-per-loop control overhead live
 /// outside it); trip-weighted totals must use
 /// [`block_activation_cycles_cached`].
-pub fn block_cycles_cached(costs: &CycleCache<'_>, block: &MachineBlock, kind: SchedKind) -> u64 {
-    let sched = schedule_block_cached(costs, block, kind);
+pub fn block_cycles(costs: &CycleCache<'_>, block: &MachineBlock, kind: SchedKind) -> u64 {
+    let sched = schedule_block(costs, block, kind);
     match sched.modulo {
         Some(m) => m.ii,
         None => {
@@ -304,7 +281,7 @@ pub fn block_activation_cycles_cached(
     block: &MachineBlock,
     kind: SchedKind,
 ) -> u64 {
-    let sched = schedule_block_cached(costs, block, kind);
+    let sched = schedule_block(costs, block, kind);
     match sched.modulo {
         Some(m) => {
             loop_overhead(costs.target()) + m.prologue + m.ii * (block.trip - 1) + m.epilogue
@@ -320,14 +297,9 @@ pub fn block_activation_cycles_cached(
     }
 }
 
-/// Cycles for one kernel activation (all blocks, trip-weighted).
-pub fn cycles_per_activation(target: &TargetModel, program: &MachineProgram) -> u64 {
-    cycles_per_activation_cached(&CycleCache::new(target), program, SchedKind::List)
-}
-
-/// [`cycles_per_activation`] pricing ops through a shared [`CycleCache`],
-/// dispatching on `kind`.
-pub fn cycles_per_activation_cached(
+/// Cycles for one kernel activation (all blocks, trip-weighted), pricing
+/// ops through a shared [`CycleCache`] and dispatching on `kind`.
+pub fn cycles_per_activation(
     costs: &CycleCache<'_>,
     program: &MachineProgram,
     kind: SchedKind,
@@ -339,18 +311,9 @@ pub fn cycles_per_activation_cached(
         .sum()
 }
 
-/// Total cycles for a workload of `activations` kernel activations.
-pub fn total_cycles(target: &TargetModel, program: &MachineProgram, activations: u64) -> u64 {
-    total_cycles_cached(
-        &CycleCache::new(target),
-        program,
-        activations,
-        SchedKind::List,
-    )
-}
-
-/// [`total_cycles`] pricing ops through a shared [`CycleCache`],
-/// dispatching on `kind` — callers reporting several workloads (or both
+/// Total cycles for a workload of `activations` kernel activations,
+/// pricing ops through a shared [`CycleCache`] and dispatching on
+/// `kind` — callers reporting several workloads (or both
 /// scheduler kinds) over one target should share a cache instead of
 /// re-folding the same op costs per call.
 pub fn total_cycles_cached(
@@ -359,7 +322,7 @@ pub fn total_cycles_cached(
     activations: u64,
     kind: SchedKind,
 ) -> u64 {
-    cycles_per_activation_cached(costs, program, kind) * activations
+    cycles_per_activation(costs, program, kind) * activations
 }
 
 // --- loop-carried dependences -------------------------------------------
@@ -912,11 +875,15 @@ mod tests {
         Mop::opaque(query, preds)
     }
 
+    fn list(target: &TargetModel, block: &MachineBlock) -> Schedule {
+        schedule_block(&CycleCache::new(target), block, SchedKind::List)
+    }
+
     #[test]
     fn single_issue_serializes() {
         let target = vex(1);
         let ops: Vec<Mop> = (0..6).map(|_| op(OpQuery::Add(32), vec![])).collect();
-        let s = schedule_block(&target, &block(ops, false));
+        let s = list(&target, &block(ops, false));
         // Six independent adds on a 1-issue machine: one per cycle.
         assert_eq!(s.makespan, 6);
     }
@@ -925,7 +892,7 @@ mod tests {
     fn wide_issue_parallelizes() {
         let target = xentium(); // 4 ALUs
         let ops: Vec<Mop> = (0..8).map(|_| op(OpQuery::Add(32), vec![])).collect();
-        let s = schedule_block(&target, &block(ops, false));
+        let s = list(&target, &block(ops, false));
         // 8 adds over 4 ALUs: 2 cycles of issue + 1 latency left-over.
         assert!(s.makespan <= 3, "makespan {}", s.makespan);
     }
@@ -934,7 +901,7 @@ mod tests {
     fn memory_ports_limit_loads() {
         let target = xentium(); // 2 mem ports, load latency 2
         let ops: Vec<Mop> = (0..8).map(|_| op(OpQuery::Load(32), vec![])).collect();
-        let s = schedule_block(&target, &block(ops, false));
+        let s = list(&target, &block(ops, false));
         // 8 loads over 2 ports: last issues at cycle 3, finishes at 5.
         assert_eq!(s.makespan, 4 + target.load_latency as u64 - 1);
     }
@@ -946,7 +913,7 @@ mod tests {
         for i in 1..10 {
             ops.push(op(OpQuery::Add(32), vec![i - 1]));
         }
-        let s = schedule_block(&target, &block(ops, false));
+        let s = list(&target, &block(ops, false));
         assert_eq!(
             s.makespan, 10,
             "a 10-add chain takes 10 cycles regardless of width"
@@ -958,8 +925,8 @@ mod tests {
         let target = xentium();
         let narrow: Vec<Mop> = (0..4).map(|_| op(OpQuery::Mul(16), vec![])).collect();
         let wide: Vec<Mop> = (0..4).map(|_| op(OpQuery::Mul(32), vec![])).collect();
-        let sn = schedule_block(&target, &block(narrow, false));
-        let sw = schedule_block(&target, &block(wide, false));
+        let sn = list(&target, &block(narrow, false));
+        let sw = list(&target, &block(wide, false));
         assert!(
             sw.makespan > sn.makespan,
             "32-bit muls ({}c) must be slower than 16-bit ({}c)",
@@ -975,7 +942,7 @@ mod tests {
             op(OpQuery::FAdd, vec![]),
             op(OpQuery::Add(32), vec![]), // independent, but machine is blocked
         ];
-        let s = schedule_block(&target, &block(ops, false));
+        let s = list(&target, &block(ops, false));
         assert!(
             s.start[1] >= target.fadd_cycles as u64,
             "nothing issues during a soft-float call (start {})",
@@ -987,7 +954,7 @@ mod tests {
     fn hw_float_pipelines_on_st240() {
         let target = st240();
         let ops = vec![op(OpQuery::FAdd, vec![]), op(OpQuery::Add(32), vec![])];
-        let s = schedule_block(&target, &block(ops, false));
+        let s = list(&target, &block(ops, false));
         assert_eq!(s.start[1], 0, "hardware float does not serialize");
     }
 
@@ -995,8 +962,9 @@ mod tests {
     fn loop_overhead_added_per_iteration() {
         let target = vex(1);
         let ops = vec![op(OpQuery::Add(32), vec![])];
-        let inside = block_cycles(&target, &block_t(ops.clone(), 4, true));
-        let outside = block_cycles(&target, &block_t(ops, 1, false));
+        let costs = CycleCache::new(&target);
+        let inside = block_cycles(&costs, &block_t(ops.clone(), 4, true), SchedKind::List);
+        let outside = block_cycles(&costs, &block_t(ops, 1, false), SchedKind::List);
         assert!(inside > outside);
     }
 
@@ -1009,11 +977,16 @@ mod tests {
             blocks: vec![b1],
             storage: crate::lower::ProgramStorage::default(),
         };
-        let per_act = cycles_per_activation(&target, &prog);
-        assert_eq!(total_cycles(&target, &prog, 10), per_act * 10);
+        let costs = CycleCache::new(&target);
+        let per_act = cycles_per_activation(&costs, &prog, SchedKind::List);
+        assert_eq!(
+            total_cycles_cached(&costs, &prog, 10, SchedKind::List),
+            per_act * 10
+        );
         let single = block_cycles(
-            &target,
+            &costs,
             &block_t(vec![op(OpQuery::Add(32), vec![])], 1, true),
+            SchedKind::List,
         );
         assert_eq!(per_act, single * 16);
     }
@@ -1022,7 +995,7 @@ mod tests {
     fn pack_macro_op_consumes_multiple_slots() {
         let target = vex(1); // 1 ALU per cycle
         let ops = vec![op(OpQuery::Pack(4), vec![])];
-        let s = schedule_block(&target, &block(ops, false));
+        let s = list(&target, &block(ops, false));
         // 4 insert slots on a single ALU: at least 4 cycles of occupancy.
         assert!(s.makespan >= 4, "makespan {}", s.makespan);
     }
@@ -1039,7 +1012,7 @@ mod tests {
         let b = block_t(ops, 16, true);
         let (res, rec) = modulo_bounds_cached(&costs, &b).unwrap();
         assert_eq!((res, rec), (4, 1));
-        let s = schedule_block_cached(&costs, &b, SchedKind::modulo());
+        let s = schedule_block(&costs, &b, SchedKind::modulo());
         let m = s.modulo.expect("loads must pipeline");
         assert_eq!(m.ii, 4, "achieved II must match max(ResMII, RecMII)");
         assert_eq!(m.prologue + m.epilogue, s.makespan);
@@ -1060,7 +1033,7 @@ mod tests {
             modulo < list,
             "pipelining must beat sequential issue ({modulo} vs {list})"
         );
-        let s = schedule_block_cached(&costs, &b, SchedKind::modulo());
+        let s = schedule_block(&costs, &b, SchedKind::modulo());
         let m = s.modulo.unwrap();
         let (res, rec) = modulo_bounds_cached(&costs, &b).unwrap();
         assert_eq!(m.ii, res.max(rec));
@@ -1096,7 +1069,7 @@ mod tests {
         assert_eq!(loop_carried_deps(&b), vec![(3, 0)]);
         let (_, rec) = modulo_bounds_cached(&costs, &b).unwrap();
         assert_eq!(rec, 4, "a 4-cycle recurrence forces II >= 4");
-        if let Some(m) = schedule_block_cached(&costs, &b, SchedKind::modulo()).modulo {
+        if let Some(m) = schedule_block(&costs, &b, SchedKind::modulo()).modulo {
             assert!(m.ii >= 4);
         }
     }
@@ -1111,8 +1084,8 @@ mod tests {
             modulo_attempt_cached(&costs, &b, 1),
             ModuloAttempt::BudgetExhausted
         ));
-        let starved = schedule_block_cached(&costs, &b, SchedKind::Modulo { budget: 1 });
-        let list = schedule_block_cached(&costs, &b, SchedKind::List);
+        let starved = schedule_block(&costs, &b, SchedKind::Modulo { budget: 1 });
+        let list = schedule_block(&costs, &b, SchedKind::List);
         assert!(starved.modulo.is_none());
         assert_eq!(starved.start, list.start);
         assert_eq!(starved.finish, list.finish);
@@ -1163,7 +1136,7 @@ mod tests {
             })
             .collect();
         let b = block_t(ops, 16, true);
-        let s = schedule_block_cached(&costs, &b, SchedKind::modulo());
+        let s = schedule_block(&costs, &b, SchedKind::modulo());
         let m = s.modulo.expect("mixed loads/muls must pipeline");
         let mut per_residue: std::collections::HashMap<(u64, OpClass), u32> =
             std::collections::HashMap::new();

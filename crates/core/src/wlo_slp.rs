@@ -20,9 +20,7 @@ use slpwlo_fixedpoint::{FixedPointSpec, Ranges};
 use slpwlo_ir::blocks::{blocks_by_priority, Block};
 use slpwlo_ir::dfg::Dfg;
 use slpwlo_ir::Kernel;
-use slpwlo_slp::{
-    absorb_selected, run_selection_stats, BenefitKind, Round, SelectStats, SimdGroup,
-};
+use slpwlo_slp::{extract_rounds, BenefitKind, SelectStats, SimdGroup};
 use slpwlo_targets::{SchedKind, TargetModel};
 
 /// Per-block outcome of the joint optimization.
@@ -69,54 +67,17 @@ impl WloSlpResult {
 /// [`slpwlo_accuracy::IncrementalEvaluator`] makes each query O(touched
 /// keys) instead of O(kernel); a plain evaluator falls back to full
 /// recomputes with identical results.
-pub fn wlo_slp(
-    kernel: &Kernel,
-    target: &TargetModel,
-    eval: &dyn AccuracyEvaluator,
-    constraint_db: f64,
-    ranges: &Ranges,
-) -> WloSlpResult {
-    wlo_slp_with(
-        kernel,
-        target,
-        eval,
-        constraint_db,
-        ranges,
-        BenefitKind::default(),
-    )
-}
-
-/// [`wlo_slp`] with an explicit candidate-pricing strategy.
 ///
-/// Under [`BenefitKind::Cycles`] the selection loop re-prices live
-/// candidates against the *evolving* spec every iteration (the hooks are
-/// the word-length oracle), so a pack that is only profitable at shrunk
-/// word lengths is admitted in the round where the shrinks happen rather
-/// than never or always.
-pub fn wlo_slp_with(
-    kernel: &Kernel,
-    target: &TargetModel,
-    eval: &dyn AccuracyEvaluator,
-    constraint_db: f64,
-    ranges: &Ranges,
-    benefit: BenefitKind,
-) -> WloSlpResult {
-    wlo_slp_sched(
-        kernel,
-        target,
-        eval,
-        constraint_db,
-        ranges,
-        benefit,
-        SchedKind::List,
-    )
-}
-
-/// [`wlo_slp_with`] pricing candidates under an explicit scheduler kind:
-/// when the flow will modulo-schedule in-loop blocks, the cycle-priced
-/// benefit model drops its latency-boundedness hedge (overlapped
-/// iterations hide pack/extract chain hops), admitting packs sequential
-/// issue would reject.
+/// `benefit` picks the candidate-pricing strategy. Under
+/// [`BenefitKind::Cycles`] the selection loop re-prices live candidates
+/// against the *evolving* spec every iteration (the hooks are the
+/// word-length oracle), so a pack that is only profitable at shrunk word
+/// lengths is admitted in the round where the shrinks happen rather than
+/// never or always. `sched` is the scheduler the flow will run: under
+/// modulo scheduling of in-loop blocks the cycle-priced benefit model
+/// drops its latency-boundedness hedge (overlapped iterations hide
+/// pack/extract chain hops), admitting packs sequential issue would
+/// reject.
 pub fn wlo_slp_sched(
     kernel: &Kernel,
     target: &TargetModel,
@@ -135,30 +96,12 @@ pub fn wlo_slp_sched(
     // Line 4: visit blocks in priority order.
     for block in blocks_by_priority(kernel) {
         let dfg = Dfg::from_block(kernel, &block);
-        let mut groups: Vec<SimdGroup> = Vec::new();
-
         // Lines 6-14: iterate SLP extraction until no new groups.
-        loop {
-            let round = Round::new(&dfg, target, &groups);
-            let selected = {
-                let mut hooks =
-                    AccuracyHooks::new(&dfg, &mut spec, eval, constraint_db).with_sched(sched);
-                run_selection_stats(
-                    &dfg,
-                    target,
-                    &round,
-                    &groups,
-                    &mut hooks,
-                    benefit,
-                    &mut select,
-                )
-            };
-            if selected.is_empty() {
-                break;
-            }
-            // Line 12: wider merges supersede the groups they absorbed.
-            absorb_selected(&mut groups, selected);
-        }
+        let groups = {
+            let mut hooks =
+                AccuracyHooks::new(&dfg, &mut spec, eval, constraint_db).with_sched(sched);
+            extract_rounds(&dfg, target, &mut hooks, benefit, &mut select)
+        };
 
         // Line 15: SLP-aware scaling optimization.
         let scalopt = scaling_optimize(&mut spec, &dfg, &groups, eval, constraint_db, target);
@@ -204,7 +147,15 @@ kernel fir8 {
         let k = parse_kernel(FIR8).unwrap();
         let ranges = determine_ranges(&k, &RangeOptions::default());
         let eval = AnalyticalEvaluator::with_defaults(&k);
-        let res = wlo_slp(&k, target, &eval, db, &ranges);
+        let res = wlo_slp_sched(
+            &k,
+            target,
+            &eval,
+            db,
+            &ranges,
+            BenefitKind::Cycles,
+            SchedKind::List,
+        );
         (res, eval)
     }
 

@@ -10,8 +10,8 @@
 
 use crate::error::Error;
 use slpwlo_core::{
-    lower_float, wlo_first_flow_checked, wlo_slp_flow_checked, BenefitKind, MachineProgram,
-    PassArtifact, Prepared, ProgramRole, SelectStats, TabuOptions,
+    lower_float, wlo_first_flow_checked, wlo_slp_flow_checked, BenefitKind, FlowResult,
+    MachineProgram, PassArtifact, Prepared, ProgramRole, SelectStats, TabuOptions,
 };
 use slpwlo_fixedpoint::FixedPointSpec;
 use slpwlo_targets::{SchedKind, TargetModel};
@@ -156,6 +156,18 @@ pub fn required_constraint(ctx: &FlowContext<'_>, flow: &str) -> Result<f64, Err
     ctx.constraint_db.ok_or_else(|| missing_constraint(flow))
 }
 
+/// The output of a quantizing core flow.
+fn quantized(res: FlowResult) -> FlowOutput {
+    FlowOutput {
+        spec: Some(res.spec),
+        program: res.simd,
+        scalar: res.scalar,
+        group_count: res.group_count,
+        noise_db: Some(res.noise_db),
+        select: res.select,
+    }
+}
+
 /// The paper's joint flow as a strategy.
 pub struct WloSlpFlow;
 
@@ -166,22 +178,15 @@ impl CompilationFlow for WloSlpFlow {
 
     fn run(&self, ctx: &FlowContext<'_>) -> Result<FlowOutput, Error> {
         let db = required_constraint(ctx, self.name())?;
-        let res = wlo_slp_flow_checked(
+        wlo_slp_flow_checked(
             ctx.prep,
             ctx.target,
             db,
             ctx.benefit,
             ctx.sched,
             &mut ctx.boundary_check(),
-        )?;
-        Ok(FlowOutput {
-            spec: Some(res.spec),
-            program: res.simd,
-            scalar: res.scalar,
-            group_count: res.group_count,
-            noise_db: Some(res.noise_db),
-            select: res.select,
-        })
+        )
+        .map(quantized)
     }
 }
 
@@ -195,7 +200,7 @@ impl CompilationFlow for WloFirstFlow {
 
     fn run(&self, ctx: &FlowContext<'_>) -> Result<FlowOutput, Error> {
         let db = required_constraint(ctx, self.name())?;
-        let res = wlo_first_flow_checked(
+        wlo_first_flow_checked(
             ctx.prep,
             ctx.target,
             db,
@@ -203,15 +208,8 @@ impl CompilationFlow for WloFirstFlow {
             ctx.benefit,
             ctx.sched,
             &mut ctx.boundary_check(),
-        )?;
-        Ok(FlowOutput {
-            spec: Some(res.spec),
-            program: res.simd,
-            scalar: res.scalar,
-            group_count: res.group_count,
-            noise_db: Some(res.noise_db),
-            select: res.select,
-        })
+        )
+        .map(quantized)
     }
 }
 

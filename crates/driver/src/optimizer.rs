@@ -4,7 +4,10 @@ use crate::error::Error;
 use crate::flow::{CompilationFlow, FlowContext, FlowKind};
 use crate::report::Report;
 use slpwlo_accuracy::{AccuracyEvaluator, EvalOptions};
-use slpwlo_core::{prepare, prepare_with, total_cycles_cached, BenefitKind, Prepared, TabuOptions};
+use slpwlo_core::{
+    cycles_per_activation, prepare, prepare_with, BenefitKind, MachineProgram, Prepared,
+    TabuOptions,
+};
 use slpwlo_fixedpoint::FixedPointSpec;
 use slpwlo_ir::parser::parse_kernel;
 use slpwlo_ir::Kernel;
@@ -183,7 +186,9 @@ impl Optimizer {
         self
     }
 
-    /// Sets the workload size used for reported cycle counts.
+    /// Sets the workload size used for reported cycle counts. A workload
+    /// whose cycle count overflows `u64` is a [`Error::Config`] at run
+    /// time.
     pub fn activations(mut self, n: u64) -> Self {
         self.activations = n;
         self
@@ -206,20 +211,6 @@ impl Optimizer {
     pub fn gain_threads(mut self, n: usize) -> Self {
         let mut opts = EvalOptions::default();
         opts.gains.threads = n;
-        self.prep = prepare_with(self.prep.kernel, &opts);
-        self.floor_db = std::sync::OnceLock::new();
-        self
-    }
-
-    /// Toggles cone-restricted impulse evaluation in the noise-gain
-    /// measurement (on by default). Gains are bitwise identical either
-    /// way; off trades the analysis speedup for the simpler dense
-    /// executor — useful for differential debugging. Re-runs the
-    /// per-kernel analyses, so call it before anything that reads
-    /// [`Optimizer::prepared`].
-    pub fn gain_cone(mut self, on: bool) -> Self {
-        let mut opts = EvalOptions::default();
-        opts.gains.cone = on;
         self.prep = prepare_with(self.prep.kernel, &opts);
         self.floor_db = std::sync::OnceLock::new();
         self
@@ -311,6 +302,17 @@ impl Optimizer {
         // counts ride along so pipelined reports can show what software
         // pipelining bought without a second run.
         let costs = CycleCache::new(&self.target);
+        let total = |program: &MachineProgram, kind: SchedKind| {
+            cycles_per_activation(&costs, program, kind)
+                .checked_mul(self.activations)
+                .ok_or_else(|| Error::Config {
+                    field: "activations",
+                    message: format!(
+                        "{} activations overflow the 64-bit cycle count",
+                        self.activations
+                    ),
+                })
+        };
         Ok(Report {
             kernel_name: self.prep.kernel.name().to_string(),
             flow: flow.name().to_string(),
@@ -319,20 +321,10 @@ impl Optimizer {
             constraint_db,
             spec: out.spec,
             sched: self.sched,
-            cycles_simd: total_cycles_cached(&costs, &out.program, self.activations, self.sched),
-            cycles_scalar: total_cycles_cached(&costs, &out.scalar, self.activations, self.sched),
-            cycles_simd_list: total_cycles_cached(
-                &costs,
-                &out.program,
-                self.activations,
-                SchedKind::List,
-            ),
-            cycles_scalar_list: total_cycles_cached(
-                &costs,
-                &out.scalar,
-                self.activations,
-                SchedKind::List,
-            ),
+            cycles_simd: total(&out.program, self.sched)?,
+            cycles_scalar: total(&out.scalar, self.sched)?,
+            cycles_simd_list: total(&out.program, SchedKind::List)?,
+            cycles_scalar_list: total(&out.scalar, SchedKind::List)?,
             simd: out.program,
             scalar: out.scalar,
             group_count: out.group_count,
@@ -706,28 +698,6 @@ kernel tiny {
             base.noise_db.unwrap().to_bits(),
             threaded.noise_db.unwrap().to_bits(),
             "gain measurement must be thread-count invariant"
-        );
-    }
-
-    #[test]
-    fn gain_cone_does_not_change_results() {
-        let base = Optimizer::for_source(TINY)
-            .unwrap()
-            .constraint_db(-40.0)
-            .run()
-            .unwrap();
-        let dense = Optimizer::for_source(TINY)
-            .unwrap()
-            .gain_cone(false)
-            .constraint_db(-40.0)
-            .run()
-            .unwrap();
-        assert_eq!(base.cycles_simd, dense.cycles_simd);
-        assert_eq!(base.group_count, dense.group_count);
-        assert_eq!(
-            base.noise_db.unwrap().to_bits(),
-            dense.noise_db.unwrap().to_bits(),
-            "gain measurement must be cone-toggle invariant"
         );
     }
 

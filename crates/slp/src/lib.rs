@@ -36,7 +36,5 @@ pub use group::{
 };
 pub use optimal::{exhaustive_best, set_value, SelectStats};
 pub use select::{
-    absorb_selected, extract_plain, extract_plain_with, extract_rounds, extract_rounds_stats,
-    extract_rounds_with, run_selection, run_selection_stats, run_selection_with, NoHooks,
-    SelectHooks,
+    absorb_selected, extract_plain, extract_rounds, run_selection, NoHooks, SelectHooks,
 };

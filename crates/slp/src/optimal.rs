@@ -159,7 +159,7 @@ pub fn exhaustive_best(
 }
 
 /// One exact selection pass over a round. Called from
-/// `run_selection_stats` with the views, validated liveness and
+/// `run_selection` with the views, validated liveness and
 /// conflict pairs it already computed.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_selection_optimal(
@@ -588,7 +588,7 @@ fn replay(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::select::{extract_rounds_stats, run_selection_stats, NoHooks};
+    use crate::select::{extract_rounds, run_selection, NoHooks};
     use slpwlo_ir::blocks::collect_blocks;
     use slpwlo_ir::parser::parse_kernel;
     use slpwlo_targets::{st240, vex, xentium};
@@ -626,7 +626,7 @@ kernel f {
             loop {
                 let round = Round::new(&dfg, &target, &groups);
                 let n = round.candidates.len();
-                let selected = run_selection_stats(
+                let selected = run_selection(
                     &dfg,
                     &target,
                     &round,
@@ -679,18 +679,19 @@ kernel f {
         let dfg = fir_dfg();
         for target in [xentium(), vex(4)] {
             let mut stats = SelectStats::default();
-            let exact = extract_rounds_stats(
+            let exact = extract_rounds(
                 &dfg,
                 &target,
                 &mut NoHooks,
                 BenefitKind::Optimal { budget: 0 },
                 &mut stats,
             );
-            let greedy = crate::select::extract_rounds_with(
+            let greedy = extract_rounds(
                 &dfg,
                 &target,
                 &mut NoHooks,
                 BenefitKind::Cycles,
+                &mut SelectStats::default(),
             );
             assert_eq!(
                 exact, greedy,
@@ -740,7 +741,7 @@ kernel f {
                         target.max_wl()
                     });
                 let greedy_v = set_value(&model, &round, &groups, &probe.chosen);
-                let selected = run_selection_stats(
+                let selected = run_selection(
                     &dfg,
                     &target,
                     &round,

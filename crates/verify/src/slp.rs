@@ -306,7 +306,7 @@ kernel f {
 
     #[test]
     fn optimal_selection_spot_check_accepts_exact_and_rejects_empty() {
-        use slpwlo_slp::{run_selection_stats, CandidateView, SelectHooks, SelectStats};
+        use slpwlo_slp::{run_selection, CandidateView, SelectHooks, SelectStats};
         // Frozen 16-bit word lengths, mirroring `extract_plain`'s hooks.
         struct FixedWl<'a> {
             target: &'a TargetModel,
@@ -346,7 +346,7 @@ kernel g {
         let round = Round::new(&dfg, &target, &[]);
         let mut stats = SelectStats::default();
         let mut hooks = FixedWl { target: &target };
-        let chosen = run_selection_stats(
+        let chosen = run_selection(
             &dfg,
             &target,
             &round,

@@ -12,10 +12,10 @@
 
 mod common;
 
-use common::{assert_bit_identical, cc_available, compile_and_run, simd_program};
+use common::{assert_bit_identical, cc_available, compile_and_run, joint_flow, simd_program};
 use slpwlo::accuracy::simulate::simulate_fixed;
 use slpwlo::codegen::{emit_fixed_c, emit_intrinsics_header, emit_simd_c};
-use slpwlo::core::{lower_scalar, prepare, wlo_slp_flow, MachineProgram};
+use slpwlo::core::{lower_scalar, prepare, MachineProgram};
 use slpwlo::fixedpoint::range::{determine_ranges, RangeOptions};
 use slpwlo::fixedpoint::{FixedPointSpec, QFormat, SpecKey};
 use slpwlo::ir::parser::parse_kernel;
@@ -101,7 +101,7 @@ fn compiled_c_matches_simulation_on_flow_specs() {
     let target = xentium();
     for (kernel, workload) in &benches {
         let prep = prepare(kernel.clone());
-        let flow = wlo_slp_flow(&prep, &target, -40.0);
+        let flow = joint_flow(&prep, &target, -40.0);
         check_both_backends(
             &format!("{}_wloslp", kernel.name()),
             kernel,

@@ -1,24 +1,24 @@
-//! Shared helpers for the compile-and-execute differential harnesses
+//! Shared helpers for the integration tests: the flows at their default
+//! settings, and the compile-and-execute differential harnesses
 //! (`tests/c_differential.rs`, `tests/pipeline_fuzz.rs`).
 //!
 //! Each integration-test binary gets its own copy of this module; not
 //! every binary uses every helper.
 #![allow(dead_code)]
 
-use slpwlo::core::{lower_fixed, MachineProgram};
+use slpwlo::core::{
+    extract_on_spec, lower_fixed, wlo_first_flow_checked, wlo_slp_flow_checked, FlowResult,
+    MachineProgram, PassArtifact, Prepared, SchedKind, SelectStats, TabuOptions,
+};
 use slpwlo::fixedpoint::FixedPointSpec;
 use slpwlo::ir::Kernel;
 use slpwlo::kernels::Workload;
 use slpwlo::slp::BenefitKind;
 use slpwlo::targets::TargetModel;
+use std::convert::Infallible;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
-
-/// `slpwlo_core::extract_on_spec`, re-exported for the harnesses (the
-/// WLO-First back half's extraction: word lengths *and* formats feed
-/// the cycle-priced benefit model).
-pub use slpwlo::core::extract_on_spec;
 
 /// Plain (accuracy-unaware) SLP groups on a frozen spec, lowered to the
 /// SIMD machine program — the WLO-First back half, used as the SIMD leg
@@ -28,8 +28,50 @@ pub fn simd_program(
     spec: &FixedPointSpec,
     target: &TargetModel,
 ) -> MachineProgram {
-    let blocks = extract_on_spec(kernel, spec, target, BenefitKind::default());
+    let mut stats = SelectStats::default();
+    let blocks = extract_on_spec(
+        kernel,
+        spec,
+        target,
+        BenefitKind::Cycles,
+        SchedKind::List,
+        &mut stats,
+    );
     lower_fixed(kernel, spec, target, &blocks)
+}
+
+/// The boundary callback that checks nothing.
+fn unchecked(_: PassArtifact<'_>) -> Result<(), Infallible> {
+    Ok(())
+}
+
+/// The joint `WLO-SLP` flow, greedy cycle-priced and list-scheduled,
+/// without pass-boundary verification.
+pub fn joint_flow(prep: &Prepared, target: &TargetModel, db: f64) -> FlowResult {
+    wlo_slp_flow_checked(
+        prep,
+        target,
+        db,
+        BenefitKind::Cycles,
+        SchedKind::List,
+        &mut unchecked,
+    )
+    .unwrap()
+}
+
+/// The `WLO-First` baseline flow with default Tabu options, greedy
+/// cycle-priced and list-scheduled, without pass-boundary verification.
+pub fn first_flow(prep: &Prepared, target: &TargetModel, db: f64) -> FlowResult {
+    wlo_first_flow_checked(
+        prep,
+        target,
+        db,
+        &TabuOptions::default(),
+        BenefitKind::Cycles,
+        SchedKind::List,
+        &mut unchecked,
+    )
+    .unwrap()
 }
 
 /// Is a C compiler available? With `SLPWLO_REQUIRE_CC=1` a missing

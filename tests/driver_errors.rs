@@ -148,22 +148,31 @@ fn invalid_builder_configuration_is_typed() -> Result<(), Error> {
         );
     }
 
-    // Zero-activation cycle reports.
-    let err = Optimizer::for_source(GOOD)?
-        .constraint_db(-30.0)
-        .activations(0)
-        .run()
-        .unwrap_err();
-    assert!(
-        matches!(
-            err,
-            Error::Config {
-                field: "activations",
-                ..
-            }
+    // Zero-activation cycle reports, and a workload whose cycle count
+    // overflows 64 bits (on the README's one-multiply kernel).
+    for (src, activations) in [
+        (GOOD, 0),
+        (
+            "kernel k { input x range [-1, 1]; output y; var t; t = 0.5 * x; y = t; }",
+            u64::MAX / 2,
         ),
-        "{err}"
-    );
+    ] {
+        let err = Optimizer::for_source(src)?
+            .constraint_db(-30.0)
+            .activations(activations)
+            .run()
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                Error::Config {
+                    field: "activations",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+    }
 
     // Unknown flow names.
     let err = Optimizer::for_source(GOOD)?

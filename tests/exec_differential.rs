@@ -8,17 +8,19 @@
 //! outputs bit for bit. This is the golden-reference loop every C
 //! back-end is validated against.
 
+mod common;
+
+use common::{first_flow, joint_flow};
 use slpwlo::accuracy::simulate::simulate_fixed;
 use slpwlo::core::nodes::value_wl;
-use slpwlo::core::{lower_fixed, lower_scalar, prepare, wlo_first_flow, wlo_slp_flow};
-use slpwlo::core::{MachineProgram, TabuOptions};
+use slpwlo::core::{lower_fixed, lower_scalar, prepare, MachineProgram};
 use slpwlo::fixedpoint::range::{determine_ranges, RangeOptions};
 use slpwlo::fixedpoint::FixedPointSpec;
 use slpwlo::ir::blocks::collect_blocks;
 use slpwlo::ir::{Dfg, Kernel};
 use slpwlo::kernels::{conv3x3, fir64, iir10, Workload};
 use slpwlo::sim::execute_fixed;
-use slpwlo::slp::extract_plain;
+use slpwlo::slp::{extract_plain, BenefitKind};
 use slpwlo::targets::{vex, xentium, TargetModel};
 
 fn benchmarks() -> Vec<(Kernel, Workload)> {
@@ -38,7 +40,12 @@ fn simd_program(kernel: &Kernel, spec: &FixedPointSpec, target: &TargetModel) ->
             let groups = {
                 let spec_ref = &spec;
                 let dfg_ref = &dfg;
-                extract_plain(&dfg, target, &move |n| value_wl(spec_ref, dfg_ref, n))
+                extract_plain(
+                    &dfg,
+                    target,
+                    &move |n| value_wl(spec_ref, dfg_ref, n),
+                    BenefitKind::Cycles,
+                )
             };
             (b, dfg, groups)
         })
@@ -95,7 +102,7 @@ fn interpreter_matches_simulate_fixed_on_flow_specs() {
         let prep = prepare(kernel.clone());
         let target = xentium();
         for db in [-25.0, -55.0] {
-            let joint = wlo_slp_flow(&prep, &target, db);
+            let joint = joint_flow(&prep, &target, db);
             let reference = simulate_fixed(&kernel, &joint.spec, &workload.inputs);
             for prog in [&joint.simd, &joint.scalar] {
                 let got = execute_fixed(prog, &workload.inputs).expect("program runs");
@@ -105,7 +112,7 @@ fn interpreter_matches_simulate_fixed_on_flow_specs() {
                     &got,
                 );
             }
-            let first = wlo_first_flow(&prep, &target, db, &TabuOptions::default());
+            let first = first_flow(&prep, &target, db);
             let reference = simulate_fixed(&kernel, &first.spec, &workload.inputs);
             for prog in [&first.simd, &first.scalar] {
                 let got = execute_fixed(prog, &workload.inputs).expect("program runs");

@@ -14,8 +14,9 @@
 
 mod common;
 
+use common::joint_flow;
 use slpwlo::codegen::{emit_fixed_c, emit_simd_c};
-use slpwlo::core::{lower_scalar, prepare, wlo_slp_flow};
+use slpwlo::core::{lower_scalar, prepare};
 use slpwlo::fixedpoint::range::{determine_ranges, RangeOptions};
 use slpwlo::fixedpoint::FixedPointSpec;
 use slpwlo::ir::parser::parse_kernel;
@@ -61,7 +62,7 @@ fn check_golden(name: &str, produced: &str) {
 #[test]
 fn fir8_scalar_c_matches_golden() {
     let prep = prepare(parse_kernel(FIR8).unwrap());
-    let flow = wlo_slp_flow(&prep, &xentium(), -40.0);
+    let flow = joint_flow(&prep, &xentium(), -40.0);
     let scalar = lower_scalar(&prep.kernel, &flow.spec, &xentium());
     let c = emit_fixed_c(&scalar).expect("scalar C emits");
     check_golden("fir8_fixed.c", &c);
@@ -70,7 +71,7 @@ fn fir8_scalar_c_matches_golden() {
 #[test]
 fn fir8_simd_c_matches_golden() {
     let prep = prepare(parse_kernel(FIR8).unwrap());
-    let flow = wlo_slp_flow(&prep, &xentium(), -40.0);
+    let flow = joint_flow(&prep, &xentium(), -40.0);
     let c = emit_simd_c(&flow.simd, "XENTIUM").expect("SIMD C emits");
     check_golden("fir8_simd.c", &c);
 }

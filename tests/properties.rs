@@ -5,6 +5,8 @@
 //! deterministic parameter grids instead — every case that runs in CI is
 //! reproducible by construction.
 
+mod common;
+
 use slpwlo::fixedpoint::range::{determine_ranges, RangeOptions};
 use slpwlo::fixedpoint::FixedPointSpec;
 use slpwlo::ir::builder::KernelBuilder;
@@ -129,7 +131,12 @@ fn extraction_respects_structure() {
             let target = slpwlo::targets::vex(4);
             for b in &blocks {
                 let dfg = slpwlo::ir::Dfg::from_block(&k, b);
-                let groups = slpwlo::slp::extract_plain(&dfg, &target, &|_| wl);
+                let groups = slpwlo::slp::extract_plain(
+                    &dfg,
+                    &target,
+                    &|_| wl,
+                    slpwlo::slp::BenefitKind::Cycles,
+                );
                 let mut seen = std::collections::HashSet::new();
                 for g in &groups {
                     for (i, &a) in g.elems.iter().enumerate() {
@@ -156,7 +163,7 @@ fn lowering_is_topologically_valid() {
     let bench = slpwlo::kernels::fir64();
     let prep = slpwlo::core::prepare(bench);
     for db in [-100.0f64, -85.0, -60.0, -42.5, -25.0, -10.0] {
-        let flow = slpwlo::core::wlo_slp_flow(&prep, &slpwlo::targets::vex(4), db);
+        let flow = common::joint_flow(&prep, &slpwlo::targets::vex(4), db);
         for block in &flow.simd.blocks {
             for (i, op) in block.ops.iter().enumerate() {
                 for &p in &op.preds {

@@ -7,11 +7,12 @@
 //! [`IncrementalEvaluator`] the flows now use.
 
 use slpwlo::accuracy::{AccuracyEvaluator, IncrementalEvaluator};
-use slpwlo::core::total_cycles;
-use slpwlo::core::{prepare, tabu_wlo, wlo_slp, TabuOptions};
+use slpwlo::core::{
+    prepare, tabu_wlo, total_cycles_cached, wlo_slp_sched, BenefitKind, SchedKind, TabuOptions,
+};
 use slpwlo::fixedpoint::FixedPointSpec;
 use slpwlo::kernels::{conv3x3, fir64, iir10};
-use slpwlo::targets::xentium;
+use slpwlo::targets::{st240, xentium, CycleCache};
 
 fn assert_specs_identical(
     kernel: &slpwlo::ir::Kernel,
@@ -67,52 +68,68 @@ fn tabu_is_identical_with_and_without_incremental_evaluation() {
     }
 }
 
+/// Across both selectors (greedy cycle-priced and the exact portfolio
+/// kind), both schedulers and two targets — the evaluator is re-synced
+/// once per block, and the exact selector's checkpoint/restore re-syncs
+/// it mid-block, so every protocol path is covered.
 #[test]
 fn wlo_slp_is_identical_with_and_without_incremental_evaluation() {
     for (kernel, db) in [(fir64(), -35.0), (iir10(), -30.0), (conv3x3(), -45.0)] {
-        let name = kernel.name().to_string();
         let prep = prepare(kernel);
-        let target = xentium();
+        for target in [xentium(), st240()] {
+            for benefit in [BenefitKind::Cycles, BenefitKind::optimal()] {
+                for sched in [SchedKind::List, SchedKind::modulo()] {
+                    let name = format!("{}/{}/{benefit}/{sched}", prep.kernel.name(), target.name);
+                    let run = |eval: &dyn AccuracyEvaluator| {
+                        wlo_slp_sched(
+                            &prep.kernel,
+                            &target,
+                            eval,
+                            db,
+                            &prep.ranges,
+                            benefit,
+                            sched,
+                        )
+                    };
+                    let res_full = run(&prep.eval);
+                    let res_inc = run(&IncrementalEvaluator::new(&prep.eval));
 
-        let res_full = wlo_slp(&prep.kernel, &target, &prep.eval, db, &prep.ranges);
-        let inc = IncrementalEvaluator::new(&prep.eval);
-        let res_inc = wlo_slp(&prep.kernel, &target, &inc, db, &prep.ranges);
+                    // Same SETMAXWL outcome: groups, word lengths, noise.
+                    assert_eq!(
+                        res_full.group_count(),
+                        res_inc.group_count(),
+                        "{name}: group count diverged"
+                    );
+                    assert_eq!(res_full.select, res_inc.select, "{name}: search diverged");
+                    assert_specs_identical(&prep.kernel, &res_full.spec, &res_inc.spec, &name);
+                    assert_eq!(
+                        prep.eval.noise_db(&res_full.spec).to_bits(),
+                        prep.eval.noise_db(&res_inc.spec).to_bits(),
+                        "{name}: noise diverged"
+                    );
+                    for (bf, bi) in res_full.blocks.iter().zip(&res_inc.blocks) {
+                        assert_eq!(bf.scalopt, bi.scalopt, "{name}: scalopt stats diverged");
+                        assert_eq!(bf.groups, bi.groups, "{name}: per-block groups diverged");
+                    }
 
-        // Same SETMAXWL outcome: groups, word lengths, noise.
-        assert_eq!(
-            res_full.group_count(),
-            res_inc.group_count(),
-            "{name}: group count diverged"
-        );
-        assert_specs_identical(&prep.kernel, &res_full.spec, &res_inc.spec, &name);
-        assert_eq!(
-            prep.eval.noise_db(&res_full.spec).to_bits(),
-            prep.eval.noise_db(&res_inc.spec).to_bits(),
-            "{name}: noise diverged"
-        );
-        for (bf, bi) in res_full.blocks.iter().zip(&res_inc.blocks) {
-            assert_eq!(bf.scalopt, bi.scalopt, "{name}: scalopt stats diverged");
-            assert_eq!(
-                bf.groups.len(),
-                bi.groups.len(),
-                "{name}: per-block groups diverged"
-            );
+                    // Same cycle counts after lowering both results.
+                    let lower = |res: &slpwlo::core::WloSlpResult| {
+                        let blocks: Vec<_> = res
+                            .blocks
+                            .iter()
+                            .map(|b| (b.block.clone(), b.dfg.clone(), b.groups.clone()))
+                            .collect();
+                        let prog =
+                            slpwlo::core::lower_fixed(&prep.kernel, &res.spec, &target, &blocks);
+                        total_cycles_cached(&CycleCache::new(&target), &prog, 2048, sched)
+                    };
+                    assert_eq!(
+                        lower(&res_full),
+                        lower(&res_inc),
+                        "{name}: cycle counts diverged"
+                    );
+                }
+            }
         }
-
-        // Same cycle counts after lowering both results.
-        let lower = |res: &slpwlo::core::WloSlpResult| {
-            let blocks: Vec<_> = res
-                .blocks
-                .iter()
-                .map(|b| (b.block.clone(), b.dfg.clone(), b.groups.clone()))
-                .collect();
-            let prog = slpwlo::core::lower_fixed(&prep.kernel, &res.spec, &target, &blocks);
-            total_cycles(&target, &prog, 2048)
-        };
-        assert_eq!(
-            lower(&res_full),
-            lower(&res_inc),
-            "{name}: cycle counts diverged"
-        );
     }
 }

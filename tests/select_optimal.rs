@@ -181,8 +181,7 @@ fn committed_rounds_agree_with_exhaustive_enumeration() {
     use slpwlo::ir::blocks::collect_blocks;
     use slpwlo::ir::dfg::{Dfg, NodeId};
     use slpwlo::slp::{
-        absorb_selected, run_selection_stats, CandidateView, Round, SelectHooks, SelectStats,
-        SimdGroup,
+        absorb_selected, run_selection, CandidateView, Round, SelectHooks, SelectStats, SimdGroup,
     };
     use slpwlo::targets::TargetModel;
     use slpwlo::verify::verify_optimal_selection;
@@ -223,7 +222,7 @@ fn committed_rounds_agree_with_exhaustive_enumeration() {
                         .count();
                     let chosen = {
                         let mut hooks = FixedWl { target: &target };
-                        run_selection_stats(
+                        run_selection(
                             &dfg,
                             &target,
                             &round,

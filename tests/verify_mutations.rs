@@ -27,8 +27,8 @@ use slpwlo::ir::blocks::collect_blocks;
 use slpwlo::ir::builder::KernelBuilder;
 use slpwlo::ir::Dfg;
 use slpwlo::kernels::all_benchmarks;
-use slpwlo::slp::{extract_plain, SimdGroup};
-use slpwlo::targets::{vex, xentium, TargetModel};
+use slpwlo::slp::{extract_plain, BenefitKind, SimdGroup};
+use slpwlo::targets::{vex, xentium, CycleCache, TargetModel};
 use slpwlo::verify::{
     verify_groups, verify_kernel, verify_program, verify_spec, Invariant, Pass, VerifyError,
 };
@@ -154,7 +154,12 @@ fn block_groupings(
             let groups = {
                 let spec_ref = &spec;
                 let dfg_ref = &dfg;
-                extract_plain(&dfg, target, &move |n| value_wl(spec_ref, dfg_ref, n))
+                extract_plain(
+                    &dfg,
+                    target,
+                    &move |n| value_wl(spec_ref, dfg_ref, n),
+                    BenefitKind::Cycles,
+                )
             };
             (dfg, groups)
         })
@@ -464,7 +469,7 @@ fn machine_mutations_kill_the_machine_checker() {
 /// per-cycle audit, which is exactly why the overlay exists.
 #[test]
 fn modulo_schedule_mutations_kill_the_machine_checker() {
-    use slpwlo::core::{loop_carried_deps, schedule_block_with, SchedKind};
+    use slpwlo::core::{loop_carried_deps, schedule_block, SchedKind};
     use slpwlo::verify::audit_block_schedule;
 
     let mut identity_kills = 0usize;
@@ -474,8 +479,9 @@ fn modulo_schedule_mutations_kill_the_machine_checker() {
         for bench in all_benchmarks() {
             let (simd, scalar) = lowerings(&bench, &target);
             for program in [&simd, &scalar] {
+                let costs = CycleCache::new(&target);
                 for (b, block) in program.blocks.iter().enumerate() {
-                    let sched = schedule_block_with(&target, block, SchedKind::modulo());
+                    let sched = schedule_block(&costs, block, SchedKind::modulo());
                     let Some(ms) = sched.modulo else { continue };
                     audit_block_schedule(program, b, &target, &sched).unwrap_or_else(|e| {
                         panic!("{}: clean pipelined schedule rejected: {e}", bench.name)
