@@ -162,10 +162,12 @@ pub fn expr_executions(kernel: &Kernel) -> Vec<u64> {
 /// carries a lane of deviation state per pending (source × execution
 /// instance) impulse, the lanes retiring early on the `tail_epsilon`
 /// criterion — and the source sweep is sharded across `threads` scoped
-/// workers. Each lane is further evaluated only over its source's
-/// influence cone and retired as soon as its deviation lifetime has
-/// provably elapsed; `cone` is the kernel's [`ConeIndex`] when the
-/// caller already built one (`None` builds a local index). Per-source
+/// workers. Each lane is further evaluated only inside its dynamic
+/// deviation hull (the lanes [`BatchExecutor`] tracks as possibly
+/// differing from the baseline) and retired as soon as its deviation
+/// lifetime has provably elapsed; `cone` is the kernel's [`ConeIndex`]
+/// of lifetimes when the caller already built one (`None` builds a
+/// local index). Per-source
 /// results are bitwise identical to the one run per impulse of
 /// [`measure_gains_reference`], for any thread count.
 pub fn measure_gains(kernel: &Kernel, opts: &GainOptions, cone: Option<&ConeIndex>) -> NoiseGains {

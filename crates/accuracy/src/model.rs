@@ -22,12 +22,11 @@ use slpwlo_ir::types::{ArrayId, BinOp, ExprId, ParamId, UnOp};
 use slpwlo_ir::{ExprNode, Kernel, Stmt};
 use std::collections::HashMap;
 
-/// Options for the analytical evaluator.
+/// Options for the analytical evaluator. The signal path always
+/// truncates, as the paper assumes and as lowering and both C back-ends
+/// generate.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EvalOptions {
-    /// Quantization mode of the signal path (the paper assumes
-    /// truncation).
-    pub mode: QuantizeMode,
     /// Gain-measurement options.
     pub gains: GainOptions,
 }
@@ -151,7 +150,6 @@ enum SourceKind {
 pub struct AnalyticalEvaluator {
     gains: NoiseGains,
     sources: Vec<Source>,
-    mode: QuantizeMode,
 }
 
 impl AnalyticalEvaluator {
@@ -163,11 +161,7 @@ impl AnalyticalEvaluator {
     pub fn new_with_cone(kernel: &Kernel, opts: &EvalOptions, cone: Option<&ConeIndex>) -> Self {
         let gains = measure_gains(kernel, &opts.gains, cone);
         let sources = enumerate_sources(kernel);
-        AnalyticalEvaluator {
-            gains,
-            sources,
-            mode: opts.mode,
-        }
+        AnalyticalEvaluator { gains, sources }
     }
 
     /// Builds the evaluator with default options.
@@ -178,7 +172,7 @@ impl AnalyticalEvaluator {
     /// Linear output noise power for a specification.
     ///
     /// Accumulation contract: per-source `(bias, var)` contributions are
-    /// computed by [`Self::contribution_at`] and summed in source order —
+    /// computed by `contribution_at` and summed in source order —
     /// the *same* per-source values and the *same* total fold the
     /// incremental engine uses, so both produce bit-identical powers.
     pub fn noise_power(&self, spec: &FixedPointSpec) -> f64 {
@@ -214,7 +208,7 @@ impl AnalyticalEvaluator {
         let mut bias = 0.0;
         let mut var = 0.0;
         let mut push = |q_in: f64, q_out: f64| {
-            let (m, v) = noise_stats(q_in.min(q_out), q_out, self.mode);
+            let (m, v) = noise_stats(q_in.min(q_out), q_out, QuantizeMode::Truncate);
             bias += m * g1;
             var += v * g2;
         };

@@ -15,11 +15,13 @@ use slpwlo_ir::interp::{ExecCtx, Executor, FloatSem, Semantics};
 use slpwlo_ir::types::{ArrayId, BinOp, ExprId, InputId, ParamId, UnOp};
 use slpwlo_ir::Kernel;
 
+/// Signal-path quantization: lowering and both C back-ends only truncate.
+const SIGNAL: QuantizeMode = QuantizeMode::Truncate;
+
 /// Fixed-point value semantics driven by a [`FixedPointSpec`].
 #[derive(Debug, Clone)]
 pub struct FixedSem<'s> {
     spec: &'s FixedPointSpec,
-    mode: QuantizeMode,
     ovf: OverflowMode,
 }
 
@@ -29,15 +31,8 @@ impl<'s> FixedSem<'s> {
     pub fn new(spec: &'s FixedPointSpec) -> Self {
         FixedSem {
             spec,
-            mode: QuantizeMode::Truncate,
             ovf: OverflowMode::Saturate,
         }
-    }
-
-    /// Overrides the signal-path quantization mode.
-    pub fn with_mode(mut self, mode: QuantizeMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     fn fmt(&self, e: ExprId) -> QFormat {
@@ -58,7 +53,7 @@ impl Semantics for FixedSem<'_> {
     }
 
     fn input(&mut self, _c: ExecCtx, e: ExprId, _i: InputId, raw: f64) -> FxValue {
-        FxValue::from_f64(raw, self.fmt(e), self.mode, self.ovf)
+        FxValue::from_f64(raw, self.fmt(e), SIGNAL, self.ovf)
     }
 
     fn param(&mut self, _c: ExecCtx, _e: ExprId, p: ParamId, _idx: i64, raw: f64) -> FxValue {
@@ -73,14 +68,14 @@ impl Semantics for FixedSem<'_> {
 
     fn un(&mut self, _c: ExecCtx, e: ExprId, op: UnOp, a: FxValue) -> FxValue {
         match op {
-            UnOp::Neg => a.neg(self.fmt(e), self.mode, self.ovf),
+            UnOp::Neg => a.neg(self.fmt(e), SIGNAL, self.ovf),
         }
     }
 
     fn bin(&mut self, _c: ExecCtx, e: ExprId, op: BinOp, a: FxValue, b: FxValue) -> FxValue {
         let out = self.fmt(e);
         match op {
-            BinOp::Mul => a.mul(b, out, self.mode, self.ovf),
+            BinOp::Mul => a.mul(b, out, SIGNAL, self.ovf),
             BinOp::Add | BinOp::Sub => {
                 // Pre-align each operand to the result grid, keeping its
                 // own integer bits (a narrow result IWL must clamp only
@@ -95,17 +90,17 @@ impl Semantics for FixedSem<'_> {
                     |iwl: i32, fwl: i32| QFormat::new(iwl.clamp(1 - fwl, 62 - fwl), fwl);
                 let aa = a.requantize(
                     pre_align(a.format().iwl, out.fwl),
-                    self.mode,
+                    SIGNAL,
                     OverflowMode::Saturate,
                 );
                 let bb = b.requantize(
                     pre_align(b.format().iwl, out.fwl),
-                    self.mode,
+                    SIGNAL,
                     OverflowMode::Saturate,
                 );
                 match op {
-                    BinOp::Add => aa.add(bb, out, self.mode, self.ovf),
-                    BinOp::Sub => aa.sub(bb, out, self.mode, self.ovf),
+                    BinOp::Add => aa.add(bb, out, SIGNAL, self.ovf),
+                    BinOp::Sub => aa.sub(bb, out, SIGNAL, self.ovf),
                     BinOp::Mul => unreachable!(),
                 }
             }
@@ -113,7 +108,7 @@ impl Semantics for FixedSem<'_> {
     }
 
     fn store(&mut self, array: ArrayId, v: FxValue) -> FxValue {
-        v.requantize(self.spec.format(SpecKey::Array(array)), self.mode, self.ovf)
+        v.requantize(self.spec.format(SpecKey::Array(array)), SIGNAL, self.ovf)
     }
 
     fn to_f64(&self, v: FxValue) -> f64 {

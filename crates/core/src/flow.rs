@@ -38,13 +38,12 @@ pub struct Prepared {
     pub ranges: Ranges,
     /// The analytical accuracy evaluator (`EVALACC`).
     pub eval: AnalyticalEvaluator,
-    /// Influence-cone index of the kernel, shared by the cone-restricted
-    /// gain measurement and incremental range updates.
+    /// Deviation-lifetime index of the kernel, built once and handed to
+    /// the gain measurement.
     pub cone: ConeIndex,
-    /// The journal-carrying range analysis behind [`Self::ranges`];
-    /// enables bitwise-exact incremental re-analysis after
-    /// structure-preserving kernel edits (see
-    /// [`slpwlo_fixedpoint::range::RangeAnalysis::update`]).
+    /// The range analysis [`Self::ranges`] was copied from: it holds the
+    /// same ranges. Kept so callers that assemble a `Prepared` field by
+    /// field keep compiling.
     pub range_analysis: RangeAnalysis,
 }
 
@@ -54,8 +53,8 @@ pub fn prepare(kernel: Kernel) -> Prepared {
     prepare_with(kernel, &EvalOptions::default())
 }
 
-/// [`prepare`] with explicit accuracy-model options (quantization mode,
-/// gain-measurement batching/threading).
+/// [`prepare`] with explicit accuracy-model options (gain-measurement
+/// batching/threading).
 pub fn prepare_with(kernel: Kernel, opts: &EvalOptions) -> Prepared {
     let cone = ConeIndex::build(&kernel);
     let range_analysis = RangeAnalysis::new(&kernel, &RangeOptions::default());

@@ -37,7 +37,8 @@ pub enum Error {
         message: String,
     },
     /// The accuracy constraint cannot be met even with every node at the
-    /// target's maximum word length.
+    /// target's maximum word length. `floor_db` is NaN when the kernel's
+    /// float arithmetic overflows (e.g. `1e308 * 1e308 * x`).
     Unsatisfiable {
         /// Flow that was about to run.
         flow: String,

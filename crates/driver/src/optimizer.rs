@@ -256,7 +256,9 @@ impl Optimizer {
             });
         }
         let floor = self.noise_floor_db();
-        if db < floor {
+        // A NaN floor means the kernel's float arithmetic overflows, so no
+        // specification has a meaningful noise figure.
+        if floor.is_nan() || db < floor {
             return Err(Error::Unsatisfiable {
                 flow: flow_name.to_string(),
                 constraint_db: db,

@@ -37,6 +37,15 @@ pub enum IrError {
         /// The declared range, formatted as `[lo, hi]`.
         range: String,
     },
+    /// A constant literal or parameter-table entry is not a finite number
+    /// (e.g. a literal such as `1e400` that overflows `f64`). The value is
+    /// carried pre-formatted so the error stays `Eq`-comparable.
+    NonFiniteValue {
+        /// Where the value sits: ``constant e<id>`` or ``param `<name>`[<i>]``.
+        site: String,
+        /// The value, formatted (`inf`, `-inf` or `NaN`).
+        value: String,
+    },
     /// A parameter table or state array was declared with zero elements.
     EmptyTable {
         /// `"param"` or `"array"`.
@@ -71,6 +80,9 @@ impl fmt::Display for IrError {
             IrError::InvalidUnroll(msg) => write!(f, "invalid unroll request: {msg}"),
             IrError::InvalidRange { input, range } => {
                 write!(f, "unusable value range {range} on input `{input}`")
+            }
+            IrError::NonFiniteValue { site, value } => {
+                write!(f, "non-finite value {value} at {site}")
             }
             IrError::EmptyTable { kind, name } => {
                 write!(f, "{kind} `{name}` must have at least one element")

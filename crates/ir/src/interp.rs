@@ -176,11 +176,6 @@ impl<'k, S: Semantics> Executor<'k, S> {
         &self.sem
     }
 
-    /// Mutable access to the plugged semantics.
-    pub fn semantics_mut(&mut self) -> &mut S {
-        &mut self.sem
-    }
-
     /// The current per-element state of every array (delay lines, line
     /// buffers). Fix-point analyses need this: a value propagates
     /// through a delay line one slot per activation without touching
@@ -403,9 +398,7 @@ pub struct ImpulseChannel {
 /// lane** runs the same operation sequence impulse-free; lanes outside a
 /// hull are never computed or stored — they are, bitwise, the baseline
 /// value — which keeps the restricted sweep bitwise identical to a dense
-/// one while doing work proportional to actual deviations. Sorting
-/// channels so that lanes with overlapping cones sit next to each other
-/// (see [`ConeIndex`](crate::cone::ConeIndex)) keeps the hulls tight.
+/// one while doing work proportional to actual deviations.
 ///
 /// Lanes whose response has died out are retired with
 /// [`retain`](Self::retain); the survivors are compacted so inner loops

@@ -129,25 +129,6 @@ pub enum Stmt {
     Output(usize, ExprId),
 }
 
-/// A numeric value position inside a [`Kernel`] that [`Kernel::edit_values`]
-/// can rewrite without changing the kernel's structure.
-///
-/// Structure-preserving edits keep the expression arena, the statement tree
-/// and every declaration's shape identical, so incremental analyses (e.g.
-/// journal-replay range analysis keyed on a [`crate::ConeIndex`]) remain
-/// applicable across the edit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ValueSite {
-    /// The literal of a [`ExprNode::Const`] node.
-    Const(ExprId),
-    /// One entry of a parameter table ([`Param::values`]`[i]`).
-    Param(ParamId, usize),
-    /// The lower bound of an input's declared range.
-    InputLo(InputId),
-    /// The upper bound of an input's declared range.
-    InputHi(InputId),
-}
-
 /// A complete kernel: declarations plus the per-activation body.
 ///
 /// Construct kernels through [`crate::builder::KernelBuilder`] or the DSL
@@ -293,39 +274,11 @@ impl Kernel {
         n
     }
 
-    /// Returns a copy of this kernel with every numeric value rewritten
-    /// through `f`.
-    ///
-    /// `f` receives each [`ValueSite`] (constant literals, parameter-table
-    /// entries, input range bounds) with its current value and returns the
-    /// new value; returning the argument unchanged leaves that site alone.
-    /// The arena shape, statement tree and declaration layout are untouched,
-    /// so [`crate::ConeIndex`]es built for `self` stay valid for the result
-    /// and incremental analyses can replay across the edit (see
-    /// `changed_exprs` in the fixed-point crate).
-    pub fn edit_values(&self, mut f: impl FnMut(ValueSite, f64) -> f64) -> Kernel {
-        let mut k = self.clone();
-        for (i, n) in k.exprs.iter_mut().enumerate() {
-            if let ExprNode::Const(v) = n {
-                *v = f(ValueSite::Const(ExprId(i as u32)), *v);
-            }
-        }
-        for (p, param) in k.params.iter_mut().enumerate() {
-            for (i, v) in param.values.iter_mut().enumerate() {
-                *v = f(ValueSite::Param(ParamId(p as u32), i), *v);
-            }
-        }
-        for (i, input) in k.inputs.iter_mut().enumerate() {
-            input.lo = f(ValueSite::InputLo(InputId(i as u32)), input.lo);
-            input.hi = f(ValueSite::InputHi(InputId(i as u32)), input.hi);
-        }
-        k
-    }
-
     /// Validates arena invariants; used by tests and after transformations.
     ///
     /// Checks that every input's declared value range is usable (finite,
-    /// `lo <= hi`), that every declared output is assigned somewhere in
+    /// `lo <= hi`), that every constant literal and parameter-table entry
+    /// is finite, that every declared output is assigned somewhere in
     /// the body, that every expression id referenced by the statement
     /// tree is in-bounds, and that no expression node is used as an
     /// operand or statement root more than once (single-use arena
@@ -337,6 +290,19 @@ impl Kernel {
                 return Err(IrError::InvalidRange {
                     input: input.name.clone(),
                     range: format!("[{}, {}]", input.lo, input.hi),
+                });
+            }
+        }
+        for param in &self.params {
+            if let Some((i, v)) = param
+                .values
+                .iter()
+                .enumerate()
+                .find(|(_, v)| !v.is_finite())
+            {
+                return Err(IrError::NonFiniteValue {
+                    site: format!("param `{}`[{i}]", param.name),
+                    value: v.to_string(),
                 });
             }
         }
@@ -361,6 +327,14 @@ impl Kernel {
             Ok(())
         };
         for (id, node) in self.exprs.iter().enumerate() {
+            if let ExprNode::Const(v) = node {
+                if !v.is_finite() {
+                    return Err(IrError::NonFiniteValue {
+                        site: format!("constant e{id}"),
+                        value: v.to_string(),
+                    });
+                }
+            }
             for op in node.operands() {
                 if op.index() >= self.exprs.len() {
                     return Err(IrError::InvalidExpr(op.0));

@@ -307,29 +307,15 @@ impl<'a> BenefitModel<'a> {
     /// Creates the estimator with an explicit strategy and a word-length
     /// oracle reporting each node's *current* word length (the evolving
     /// spec under WLO↔SLP, the frozen spec under WLO-First). Scalings
-    /// are assumed uniform; use [`with_context`](Self::with_context) to
-    /// price them per lane.
+    /// are assumed uniform; use
+    /// [`with_context_shared`](Self::with_context_shared) to price them
+    /// per lane.
     pub fn with_kind(
         dfg: &'a Dfg,
         round: &'a Round,
         target: &'a TargetModel,
         kind: BenefitKind,
         wl: impl Fn(NodeId) -> i32 + 'a,
-    ) -> Self {
-        Self::with_context(dfg, round, target, kind, wl, |_| None)
-    }
-
-    /// Creates the estimator with full word-length context: `wl` reports
-    /// current word lengths, `fwl` current fractional word lengths (so
-    /// per-lane scaling amounts — and the fig. 2 penalty mismatched ones
-    /// carry — are priced, not assumed free).
-    pub fn with_context(
-        dfg: &'a Dfg,
-        round: &'a Round,
-        target: &'a TargetModel,
-        kind: BenefitKind,
-        wl: impl Fn(NodeId) -> i32 + 'a,
-        fwl: impl Fn(NodeId) -> Option<i32> + 'a,
     ) -> Self {
         Self::build(
             dfg,
@@ -338,14 +324,18 @@ impl<'a> BenefitModel<'a> {
             Prices::Owned(CycleCache::new(target)),
             kind,
             wl,
-            fwl,
+            |_| None,
         )
     }
 
-    /// [`with_context`](Self::with_context) with a caller-provided price
-    /// cache. Prices depend only on the target, so a loop that rebuilds
-    /// the model per iteration (selection does, to refresh the oracles)
-    /// shares one warmed cache across every rebuild.
+    /// Creates the estimator with full word-length context and a
+    /// caller-provided price cache: `wl` reports current word lengths,
+    /// `fwl` current fractional word lengths (so per-lane scaling
+    /// amounts — and the fig. 2 penalty mismatched ones carry — are
+    /// priced, not assumed free). Prices depend only on the target, so a
+    /// loop that rebuilds the model per iteration (selection does, to
+    /// refresh the oracles) shares one warmed cache across every
+    /// rebuild.
     pub fn with_context_shared(
         dfg: &'a Dfg,
         round: &'a Round,
@@ -425,16 +415,6 @@ impl<'a> BenefitModel<'a> {
         self.assess(idx, alive, selected).rank()
     }
 
-    /// Net benefit of candidate `idx` (see [`CostedBenefit::net`]).
-    ///
-    /// Selection admits a candidate only while its net benefit is
-    /// positive, re-evaluated each iteration: reuse grows as neighbouring
-    /// candidates are selected, and under WLO↔SLP the displaced-scalar
-    /// prices move as word lengths shrink.
-    pub fn net_benefit(&self, idx: usize, alive: &[bool], selected: &[SimdGroup]) -> f64 {
-        self.assess(idx, alive, selected).net()
-    }
-
     /// Full priced assessment of candidate `idx`.
     pub fn assess(&self, idx: usize, alive: &[bool], selected: &[SimdGroup]) -> CostedBenefit {
         self.pass(alive, selected).assess(idx)
@@ -443,7 +423,7 @@ impl<'a> BenefitModel<'a> {
     /// Starts one assessment pass over a fixed `(alive, selected)` state.
     ///
     /// A pass memoizes the one-level viability probe of speculative
-    /// partners ([`shallow_viable`](Self::shallow_viable)), which is
+    /// partners (`shallow_viable`), which is
     /// sound exactly as long as the liveness and selection state do not
     /// change — the selection loop's argmax over all live candidates is
     /// the intended scope. Use [`assess`](Self::assess) directly when

@@ -76,6 +76,53 @@ fn invalid_input_range_is_typed() {
     let xv = b.read_input(x);
     b.set_output(y, xv);
     assert!(matches!(b.try_finish(), Err(IrError::InvalidRange { .. })));
+
+    // Non-finite literals and parameter entries (`1e400` overflows f64
+    // to infinity) fail validation instead of panicking in spec
+    // construction or reporting a NaN noise figure.
+    let mut b = KernelBuilder::new("inf_const");
+    let x = b.input("x", -1.0, 1.0);
+    let y = b.output("y");
+    let c = b.constf(f64::INFINITY);
+    let xv = b.read_input(x);
+    let prod = b.mul(c, xv);
+    b.set_output(y, prod);
+    match b.try_finish() {
+        Err(IrError::NonFiniteValue { site, value }) => {
+            assert_eq!(site, format!("constant e{}", c.0));
+            assert_eq!(value, "inf");
+        }
+        other => panic!("expected NonFiniteValue, got {other:?}"),
+    }
+    for (src, want_site) in [
+        (
+            "kernel k { input x range [-1, 1]; output y; param c[2] = { 0.5, 1e400 }; y = c[0] * x; }",
+            "param `c`[1]",
+        ),
+        (
+            "kernel k { input x range [-1, 1]; output y; y = 1e400 * x; }",
+            "constant e",
+        ),
+    ] {
+        match Optimizer::for_source(src) {
+            Err(Error::Parse(IrError::NonFiniteValue { site, .. })) => {
+                assert!(site.starts_with(want_site), "{src:?}: site {site}");
+            }
+            other => panic!("{src:?}: expected NonFiniteValue, got {other:?}"),
+        }
+    }
+
+    // Finite literals whose product overflows: the noise floor is NaN,
+    // and every constraint point is refused with a typed error.
+    let opt = Optimizer::for_source(
+        "kernel k { input x range [-1, 1]; output y; y = 1e308 * 1e308 * x; }",
+    )
+    .expect("every literal is finite");
+    assert!(opt.noise_floor_db().is_nan());
+    match opt.constraint_db(-30.0).run() {
+        Err(Error::Unsatisfiable { floor_db, .. }) => assert!(floor_db.is_nan()),
+        other => panic!("expected Unsatisfiable, got {other:?}"),
+    }
 }
 
 #[test]

@@ -29,7 +29,7 @@ fn opts(threads: usize) -> GainOptions {
 }
 
 /// Asserts bitwise `(G1, G2)` equality between the batched,
-/// cone-restricted and the reference measurement on every noise source
+/// hull-restricted and the reference measurement on every noise source
 /// of `kernel`.
 fn assert_bitwise_identical(kernel: &Kernel, label: &str, threads: usize) {
     let o = opts(threads);
@@ -61,7 +61,7 @@ fn benchmarks_batched_gains_match_reference_bitwise() {
     }
 }
 
-/// Feedback kernels stress the cone path hardest: variable and array
+/// Feedback kernels stress the hull path hardest: variable and array
 /// state edges keep every impulse's deviation hull alive across
 /// activations, so the hull bookkeeping (`ShiftIn` rotation, read-back
 /// of stored hulls, accumulator fusion on `acc = acc + ...`) must stay

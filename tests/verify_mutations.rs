@@ -21,8 +21,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use slpwlo::core::nodes::value_wl;
 use slpwlo::core::{lower_scalar, MachineProgram, MopKind};
-use slpwlo::fixedpoint::range::{determine_ranges, RangeOptions};
-use slpwlo::fixedpoint::{FixedPointSpec, QFormat};
+use slpwlo::fixedpoint::range::{determine_ranges, RangeMethod, RangeOptions};
+use slpwlo::fixedpoint::{FixedPointSpec, Interval, QFormat};
 use slpwlo::ir::blocks::collect_blocks;
 use slpwlo::ir::builder::KernelBuilder;
 use slpwlo::ir::Dfg;
@@ -103,6 +103,7 @@ fn benchmark_kernels_are_clean() {
 /// unrepresentable. One seeded site per benchmark for each.
 #[test]
 fn spec_mutations_kill_the_spec_checker() {
+    let mut drift_kills = 0usize;
     for (bi, bench) in all_benchmarks().into_iter().enumerate() {
         let ranges = determine_ranges(&bench.kernel, &RangeOptions::default());
         let spec = FixedPointSpec::from_ranges(&bench.kernel, &ranges, WL);
@@ -134,7 +135,34 @@ fn spec_mutations_kill_the_spec_checker() {
             Pass::Spec,
             Invariant::WordLength,
         );
+
+        // Declared ranges narrower than the interval fixpoint: the spec
+        // built from the true ranges still fits them, so only the deep
+        // re-derivation can notice. Simulation ranges have no fixpoint
+        // to compare against.
+        if ranges.method != RangeMethod::Interval {
+            continue;
+        }
+        let wide: Vec<usize> = (0..ranges.exprs.len())
+            .filter(|&i| ranges.exprs[i].is_some_and(|iv| iv.lo < iv.hi))
+            .collect();
+        assert!(!wide.is_empty(), "{}: no live non-point range", bench.name);
+        let e = wide[rng.gen_range(0..wide.len())];
+        let iv = ranges.exprs[e].expect("live");
+        let quarter = (iv.hi - iv.lo) / 4.0;
+        let mut drifted = ranges.clone();
+        drifted.exprs[e] = Some(Interval::new(iv.lo + quarter, iv.hi - quarter));
+        verify_spec(&bench.kernel, &drifted, &spec, false)
+            .unwrap_or_else(|err| panic!("{}: shallow check saw the drift: {err}", bench.name));
+        assert_kill(
+            &format!("{}/range-drift e{e}", bench.name),
+            verify_spec(&bench.kernel, &drifted, &spec, true),
+            Pass::Spec,
+            Invariant::RangeDrift,
+        );
+        drift_kills += 1;
     }
+    assert!(drift_kills > 0, "no interval-method benchmark to drift");
 }
 
 // --- SLP ------------------------------------------------------------
