@@ -156,7 +156,7 @@ impl AnalyticalEvaluator {
     /// Builds the evaluator for a kernel: measures noise gains (the
     /// expensive, once-per-kernel part) and resolves operand grids.
     /// `cone` is the kernel's [`ConeIndex`] when the caller already built
-    /// one (e.g. `prepare_with`), so it is not paid for twice; `None`
+    /// one (e.g. `prepare`), so it is not paid for twice; `None`
     /// builds a local index.
     pub fn new_with_cone(kernel: &Kernel, opts: &EvalOptions, cone: Option<&ConeIndex>) -> Self {
         let gains = measure_gains(kernel, &opts.gains, cone);

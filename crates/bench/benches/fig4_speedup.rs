@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo bench -p slpwlo-bench --bench fig4_speedup`
 
-use slpwlo_bench::harness::{optimizer_for, sweep, PointOptions};
+use slpwlo_bench::harness::{optimizer_for, sweep};
 use slpwlo_bench::{report, Micro};
 use slpwlo_driver::{Error, FlowKind};
 use slpwlo_kernels::paper_benchmarks;
@@ -19,12 +19,7 @@ fn print_reproduction() -> Result<(), Error> {
     let targets = all_targets();
     let mut all = Vec::new();
     for bench in paper_benchmarks() {
-        all.extend(sweep(
-            &bench,
-            &targets,
-            &constraints,
-            &PointOptions::default(),
-        )?);
+        all.extend(sweep(&bench, &targets, &constraints)?);
     }
     println!("\n--- Figure 4 reproduction (condensed grid) ---");
     println!("{}", report::fig4_text(&all));
@@ -37,7 +32,7 @@ fn main() -> Result<(), Error> {
     for bench in paper_benchmarks() {
         // One Optimizer per benchmark: the once-per-kernel analyses run
         // once; `run_with` switches the flow per call.
-        let opt = optimizer_for(&bench, &PointOptions::default())?
+        let opt = optimizer_for(&bench)?
             .target(xentium())
             .constraint_db(-40.0);
         m.bench(&format!("fig4_point_both_flows/{}", bench.name), || {

@@ -27,22 +27,19 @@
 //!   recorded to `BENCH_optimal.json` (own `--optimal-json` flag), with
 //!   the never-slower contract and a zero budget-fallback rate asserted.
 //!
-//! Each variant is a custom [`CompilationFlow`] strategy plugged into the
-//! unified `Optimizer` driver — the extension point new flows register
-//! through.
+//! The full joint flow runs through the `Optimizer` driver; each ablated
+//! variant is a plain function over the driver's prepared kernel that
+//! re-assembles the joint flow's steps without one ingredient.
 //!
 //! Usage: `cargo run --release -p slpwlo-bench --bin ablation`
 
 use slpwlo_bench::micro::{Micro, MicroOptions};
 use slpwlo_core::hooks::AccuracyHooks;
 use slpwlo_core::{
-    cycles_per_activation, lower_fixed, lower_scalar, modulo_attempt_cached, modulo_bounds_cached,
-    prepare, scaling_optimize, ModuloAttempt, SchedKind,
+    cycles_per_activation, lower_fixed, modulo_attempt_cached, modulo_bounds_cached, prepare,
+    scaling_optimize, MachineProgram, ModuloAttempt, Prepared, SchedKind,
 };
-use slpwlo_driver::{
-    required_constraint, BenefitKind, CompilationFlow, Error, FlowContext, FlowKind, FlowOutput,
-    Optimizer,
-};
+use slpwlo_driver::{BenefitKind, Error, FlowKind, Optimizer};
 use slpwlo_fixedpoint::FixedPointSpec;
 use slpwlo_ir::blocks::blocks_by_priority;
 use slpwlo_ir::dfg::Dfg;
@@ -72,55 +69,39 @@ enum Ablate {
     AccConflicts,
 }
 
-/// The joint `WLO-SLP` flow with one ingredient removed, expressed as a
-/// driver strategy.
-struct AblatedWloSlp(Ablate);
-
-impl CompilationFlow for AblatedWloSlp {
-    fn name(&self) -> &'static str {
-        match self.0 {
-            Ablate::Scalopt => "wlo-slp/no-scalopt",
-            Ablate::AccConflicts => "wlo-slp/no-acc-conflicts",
-        }
-    }
-
-    fn run(&self, ctx: &FlowContext<'_>) -> Result<FlowOutput, Error> {
-        let db = required_constraint(ctx, self.name())?;
-        let prep = ctx.prep;
-        let target = ctx.target;
-        let mut spec = FixedPointSpec::from_ranges(&prep.kernel, &prep.ranges, target.max_wl());
-        let mut per_block = Vec::new();
-        let mut select = SelectStats::default();
-        for block in blocks_by_priority(&prep.kernel) {
-            let dfg = Dfg::from_block(&prep.kernel, &block);
-            let groups = {
-                let mut hooks = AccuracyHooks::new(&dfg, &mut spec, &prep.eval, db);
-                if self.0 == Ablate::AccConflicts {
-                    let mut hooks = NoConflictHooks(hooks);
-                    extract_rounds(&dfg, target, &mut hooks, ctx.benefit, &mut select)
-                } else {
-                    extract_rounds(&dfg, target, &mut hooks, ctx.benefit, &mut select)
-                }
-            };
-            if self.0 != Ablate::Scalopt {
-                let _ = scaling_optimize(&mut spec, &dfg, &groups, &prep.eval, db, target);
+/// The joint `WLO-SLP` flow with one ingredient removed, at constraint
+/// `db`: the SIMD program and its group count.
+fn ablated_wlo_slp(
+    prep: &Prepared,
+    target: &TargetModel,
+    db: f64,
+    ablate: Ablate,
+) -> (MachineProgram, usize) {
+    let mut spec = FixedPointSpec::from_ranges(&prep.kernel, &prep.ranges, target.max_wl());
+    let mut per_block = Vec::new();
+    let mut select = SelectStats::default();
+    let benefit = BenefitKind::default();
+    for block in blocks_by_priority(&prep.kernel) {
+        let dfg = Dfg::from_block(&prep.kernel, &block);
+        let groups = {
+            let mut hooks = AccuracyHooks::new(&dfg, &mut spec, &prep.eval, db);
+            if ablate == Ablate::AccConflicts {
+                let mut hooks = NoConflictHooks(hooks);
+                extract_rounds(&dfg, target, &mut hooks, benefit, &mut select)
+            } else {
+                extract_rounds(&dfg, target, &mut hooks, benefit, &mut select)
             }
-            per_block.push((block, dfg, groups));
+        };
+        if ablate != Ablate::Scalopt {
+            let _ = scaling_optimize(&mut spec, &dfg, &groups, &prep.eval, db, target);
         }
-        let group_count = per_block.iter().map(|(_, _, g)| g.len()).sum();
-        let program = lower_fixed(&prep.kernel, &spec, target, &per_block);
-        let scalar = lower_scalar(&prep.kernel, &spec, target);
-        use slpwlo_accuracy::AccuracyEvaluator;
-        let noise_db = prep.eval.noise_db(&spec);
-        Ok(FlowOutput {
-            spec: Some(spec),
-            program,
-            scalar,
-            group_count,
-            noise_db: Some(noise_db),
-            select,
-        })
+        per_block.push((block, dfg, groups));
     }
+    let group_count = per_block.iter().map(|(_, _, g)| g.len()).sum();
+    (
+        lower_fixed(&prep.kernel, &spec, target, &per_block),
+        group_count,
+    )
 }
 
 /// Slots-vs-cycles benefit-model comparison over the full benchmark
@@ -480,6 +461,9 @@ fn optimal_study() -> Result<(), Error> {
 
 fn main() -> Result<(), Error> {
     let target = xentium();
+    let costs = CycleCache::new(&target);
+    let cycles =
+        |program: &MachineProgram| cycles_per_activation(&costs, program, SchedKind::List) * 2048;
     println!(
         "Ablation on {} (SIMD cycles, N=2048; lower is better)\n{:<8} {:>6} {:>12} {:>12} {:>16}",
         target.name, "bench", "dB", "full", "no-scalopt", "no-acc-conflicts"
@@ -487,24 +471,23 @@ fn main() -> Result<(), Error> {
     for bench in paper_benchmarks() {
         let mut opt = Optimizer::for_kernel(bench.kernel.clone())?
             .target(target.clone())
-            .activations(2048);
+            .activations(2048)
+            .flow(FlowKind::WloSlp);
         for db in [-20.0, -50.0, -80.0] {
             opt = opt.constraint_db(db);
-            opt = opt.flow(FlowKind::WloSlp);
             let full = opt.run()?;
-            opt = opt.custom_flow(Box::new(AblatedWloSlp(Ablate::Scalopt)));
-            let nos = opt.run()?;
-            opt = opt.custom_flow(Box::new(AblatedWloSlp(Ablate::AccConflicts)));
-            let noc = opt.run()?;
+            let (nos, _) = ablated_wlo_slp(opt.prepared(), &target, db, Ablate::Scalopt);
+            let (noc, noc_groups) =
+                ablated_wlo_slp(opt.prepared(), &target, db, Ablate::AccConflicts);
             println!(
                 "{:<8} {:>6.0} {:>9} g={:<3} {:>12} {:>13} g={:<3}",
                 bench.name,
                 db,
                 full.cycles_simd,
                 full.group_count,
-                nos.cycles_simd,
-                noc.cycles_simd,
-                noc.group_count
+                cycles(&nos),
+                cycles(&noc),
+                noc_groups
             );
         }
     }

@@ -4,7 +4,7 @@
 //!
 //! Usage: `cargo run --release -p slpwlo-bench --bin fig4 [--csv]`
 
-use slpwlo_bench::harness::{sweep, PointOptions};
+use slpwlo_bench::harness::sweep;
 use slpwlo_bench::report;
 use slpwlo_driver::Error;
 use slpwlo_kernels::paper_benchmarks;
@@ -18,11 +18,10 @@ fn main() -> Result<(), Error> {
     // SIMD grouping must progressively surrender to precision.
     let constraints: Vec<f64> = (1..=22).map(|i| -5.0 * i as f64).collect(); // -5..-110
     let targets = all_targets();
-    let opts = PointOptions::default();
     let mut all = Vec::new();
     for bench in paper_benchmarks() {
         eprintln!("fig4: sweeping {} ...", bench.name);
-        all.extend(sweep(&bench, &targets, &constraints, &opts)?);
+        all.extend(sweep(&bench, &targets, &constraints)?);
     }
     if csv {
         print!("{}", report::csv(&all));

@@ -4,7 +4,7 @@
 //!
 //! Usage: `cargo run --release -p slpwlo-bench --bin fig6 [--csv]`
 
-use slpwlo_bench::harness::{sweep, PointOptions};
+use slpwlo_bench::harness::sweep;
 use slpwlo_bench::report;
 use slpwlo_driver::Error;
 use slpwlo_kernels::paper_benchmarks;
@@ -14,11 +14,10 @@ fn main() -> Result<(), Error> {
     let csv = std::env::args().any(|a| a == "--csv");
     let constraints: Vec<f64> = (1..=9).map(|i| -5.0 * i as f64).collect(); // -5..-45
     let targets = vec![xentium(), st240()];
-    let opts = PointOptions::default();
     let mut all = Vec::new();
     for bench in paper_benchmarks() {
         eprintln!("fig6: sweeping {} ...", bench.name);
-        all.extend(sweep(&bench, &targets, &constraints, &opts)?);
+        all.extend(sweep(&bench, &targets, &constraints)?);
     }
     // Order by target first (figure 6 has one panel per target).
     all.sort_by(|a, b| a.target.cmp(&b.target).then(a.bench.cmp(&b.bench)));

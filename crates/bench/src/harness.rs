@@ -5,18 +5,10 @@
 //! through [`slpwlo_driver::Optimizer`]; the per-kernel analyses are
 //! amortized across every constraint point of a sweep.
 
-use slpwlo_core::TabuOptions;
 use slpwlo_driver::{Error, FlowKind, Optimizer};
 use slpwlo_kernels::Benchmark;
 use slpwlo_sim::speedup;
 use slpwlo_targets::TargetModel;
-
-/// Options for one experiment point.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PointOptions {
-    /// Tabu options for the baseline WLO.
-    pub tabu: TabuOptions,
-}
 
 /// One (benchmark, target, constraint) measurement.
 #[derive(Debug, Clone)]
@@ -68,10 +60,8 @@ impl ExperimentPoint {
 
 /// Builds the driver for one benchmark (kernel validation + the
 /// once-per-kernel analyses).
-pub fn optimizer_for(bench: &Benchmark, opts: &PointOptions) -> Result<Optimizer, Error> {
-    Ok(Optimizer::for_kernel(bench.kernel.clone())?
-        .activations(bench.activations)
-        .tabu(opts.tabu))
+pub fn optimizer_for(bench: &Benchmark) -> Result<Optimizer, Error> {
+    Ok(Optimizer::for_kernel(bench.kernel.clone())?.activations(bench.activations))
 }
 
 /// Builds one grid cell from the three flow reports of a point.
@@ -109,9 +99,8 @@ pub fn run_point(
     bench: &Benchmark,
     target: &TargetModel,
     constraint_db: f64,
-    opts: &PointOptions,
 ) -> Result<ExperimentPoint, Error> {
-    let opt = optimizer_for(bench, opts)?
+    let opt = optimizer_for(bench)?
         .target(target.clone())
         .constraint_db(constraint_db);
     let first = opt.run_with(FlowKind::WloFirst)?;
@@ -131,9 +120,8 @@ pub fn sweep(
     bench: &Benchmark,
     targets: &[TargetModel],
     constraints_db: &[f64],
-    opts: &PointOptions,
 ) -> Result<Vec<ExperimentPoint>, Error> {
-    let mut opt = optimizer_for(bench, opts)?;
+    let mut opt = optimizer_for(bench)?;
     let mut out = Vec::new();
     for target in targets {
         opt = opt.target(target.clone());
@@ -174,7 +162,7 @@ mod tests {
     #[test]
     fn run_point_fills_every_field() {
         let bench = &paper_benchmarks()[0];
-        let p = run_point(bench, &xentium(), -30.0, &PointOptions::default()).unwrap();
+        let p = run_point(bench, &xentium(), -30.0).unwrap();
         assert_eq!(p.bench, "FIR");
         assert_eq!(p.target, "XENTIUM");
         assert!(p.cycles_baseline > 0 && p.cycles_first > 0 && p.cycles_slp > 0);
@@ -186,7 +174,7 @@ mod tests {
     #[test]
     fn run_point_surfaces_unsatisfiable_points() {
         let bench = &paper_benchmarks()[0];
-        let err = run_point(bench, &xentium(), -500.0, &PointOptions::default()).unwrap_err();
+        let err = run_point(bench, &xentium(), -500.0).unwrap_err();
         assert!(matches!(err, Error::Unsatisfiable { .. }), "{err}");
     }
 
@@ -194,13 +182,7 @@ mod tests {
     fn sweep_skips_infeasible_points_instead_of_failing() {
         let bench = &paper_benchmarks()[0];
         // -500 dB is below any floor; the grid must shrink, not error.
-        let pts = sweep(
-            bench,
-            &[xentium()],
-            &[-20.0, -500.0],
-            &PointOptions::default(),
-        )
-        .unwrap();
+        let pts = sweep(bench, &[xentium()], &[-20.0, -500.0]).unwrap();
         assert_eq!(pts.len(), 1);
         assert_eq!(pts[0].constraint_db, -20.0);
     }

@@ -20,5 +20,5 @@ pub mod harness;
 pub mod micro;
 pub mod report;
 
-pub use harness::{optimizer_for, run_point, sweep, ExperimentPoint, PointOptions};
+pub use harness::{optimizer_for, run_point, sweep, ExperimentPoint};
 pub use micro::{BenchRecord, Micro, MicroOptions};

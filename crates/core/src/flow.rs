@@ -50,16 +50,10 @@ pub struct Prepared {
 /// Runs the shared front end: range analysis plus accuracy-model
 /// construction.
 pub fn prepare(kernel: Kernel) -> Prepared {
-    prepare_with(kernel, &EvalOptions::default())
-}
-
-/// [`prepare`] with explicit accuracy-model options (gain-measurement
-/// batching/threading).
-pub fn prepare_with(kernel: Kernel, opts: &EvalOptions) -> Prepared {
     let cone = ConeIndex::build(&kernel);
     let range_analysis = RangeAnalysis::new(&kernel, &RangeOptions::default());
     let ranges = range_analysis.ranges().clone();
-    let eval = AnalyticalEvaluator::new_with_cone(&kernel, opts, Some(&cone));
+    let eval = AnalyticalEvaluator::new_with_cone(&kernel, &EvalOptions::default(), Some(&cone));
     Prepared {
         kernel,
         ranges,

@@ -34,8 +34,8 @@ pub mod tabu;
 pub mod wlo_slp;
 
 pub use flow::{
-    extract_on_spec, prepare, prepare_with, wlo_first_flow_checked, wlo_slp_flow_checked,
-    FlowResult, PassArtifact, Prepared, ProgramRole,
+    extract_on_spec, prepare, wlo_first_flow_checked, wlo_slp_flow_checked, FlowResult,
+    PassArtifact, Prepared, ProgramRole,
 };
 pub use hooks::AccuracyHooks;
 pub use lower::{

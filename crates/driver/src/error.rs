@@ -47,8 +47,6 @@ pub enum Error {
         /// The best (lowest) noise the target can reach (dB).
         floor_db: f64,
     },
-    /// A flow name did not match any registered flow.
-    UnknownFlow(String),
     /// Writing a generated artifact to disk failed.
     Export {
         /// Destination path.
@@ -84,12 +82,6 @@ impl fmt::Display for Error {
                 "constraint {constraint_db} dB is unsatisfiable for flow `{flow}`: \
                  the target's maximum word length bottoms out at {floor_db:.1} dB"
             ),
-            Error::UnknownFlow(name) => {
-                write!(
-                    f,
-                    "unknown flow `{name}` (built-in flows: wlo-slp, wlo-first, float)"
-                )
-            }
             Error::Export { path, source } => {
                 write!(f, "failed to export `{}`: {source}", path.display())
             }

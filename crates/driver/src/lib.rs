@@ -1,7 +1,7 @@
 //! Unified driver API for the `slpwlo` tool-chain.
 //!
 //! This crate is the public face of the workspace: a builder-pattern
-//! [`Optimizer`] that runs any registered [`CompilationFlow`] — the
+//! [`Optimizer`] that runs one of the three [`FlowKind`]s — the
 //! paper's joint `WLO-SLP` flow, the `WLO-First` baseline, or the
 //! floating-point original — on a kernel and returns a unified
 //! [`Report`] (fixed-point specification, SIMD and scalar machine
@@ -35,10 +35,7 @@ pub mod optimizer;
 pub mod report;
 
 pub use error::Error;
-pub use flow::{
-    required_constraint, CompilationFlow, FloatFlow, FlowContext, FlowKind, FlowOutput,
-    WloFirstFlow, WloSlpFlow,
-};
+pub use flow::FlowKind;
 pub use optimizer::Optimizer;
 pub use report::{ExportedC, Report};
 pub use slpwlo_core::{BenefitKind, SelectStats};

@@ -1,18 +1,18 @@
 //! The builder-pattern driver.
 
 use crate::error::Error;
-use crate::flow::{CompilationFlow, FlowContext, FlowKind};
+use crate::flow::FlowKind;
 use crate::report::Report;
-use slpwlo_accuracy::{AccuracyEvaluator, EvalOptions};
+use slpwlo_accuracy::AccuracyEvaluator;
 use slpwlo_core::{
-    cycles_per_activation, prepare, prepare_with, BenefitKind, MachineProgram, Prepared,
-    TabuOptions,
+    cycles_per_activation, lower_float, prepare, wlo_first_flow_checked, wlo_slp_flow_checked,
+    BenefitKind, MachineProgram, PassArtifact, Prepared, ProgramRole, SelectStats, TabuOptions,
 };
 use slpwlo_fixedpoint::FixedPointSpec;
 use slpwlo_ir::parser::parse_kernel;
 use slpwlo_ir::Kernel;
 use slpwlo_targets::{xentium, CycleCache, SchedKind, TargetModel};
-use slpwlo_verify::VerifyLevel;
+use slpwlo_verify::{verify_boundary, VerifyLevel};
 
 /// Default activations for cycle reporting (the paper's FIR/IIR workload
 /// size).
@@ -44,8 +44,7 @@ pub struct Optimizer {
     prep: Prepared,
     target: TargetModel,
     constraint_db: Option<f64>,
-    flow: Box<dyn CompilationFlow + Send + Sync>,
-    tabu: TabuOptions,
+    flow: FlowKind,
     benefit: BenefitKind,
     sched: SchedKind,
     verify: VerifyLevel,
@@ -69,6 +68,22 @@ impl std::fmt::Debug for Optimizer {
             .field("flow", &self.flow.name())
             .field("activations", &self.activations)
             .finish_non_exhaustive()
+    }
+}
+
+/// The "quantizing flow without a constraint" error.
+fn missing_constraint(kind: FlowKind) -> Error {
+    Error::Config {
+        field: "constraint_db",
+        message: format!("flow `{kind}` quantizes and needs a noise constraint"),
+    }
+}
+
+/// The error for `run_at`/`sweep` on the float flow.
+fn constraint_free_flow_error(kind: FlowKind) -> Error {
+    Error::Config {
+        field: "flow",
+        message: format!("flow `{kind}` ignores constraints; use run() instead of sweep()"),
     }
 }
 
@@ -101,8 +116,7 @@ impl Optimizer {
             prep: prepare(kernel),
             target: xentium(),
             constraint_db: None,
-            flow: FlowKind::WloSlp.instantiate(),
-            tabu: TabuOptions::default(),
+            flow: FlowKind::WloSlp,
             benefit: BenefitKind::default(),
             sched: SchedKind::default(),
             verify: VerifyLevel::default(),
@@ -126,27 +140,9 @@ impl Optimizer {
         self
     }
 
-    /// Selects a built-in flow (default: [`FlowKind::WloSlp`]).
+    /// Selects the flow (default: [`FlowKind::WloSlp`]).
     pub fn flow(mut self, kind: FlowKind) -> Self {
-        self.flow = kind.instantiate();
-        self
-    }
-
-    /// Selects a built-in flow by its registry name (`"wlo-slp"`,
-    /// `"wlo-first"`, `"float"`).
-    pub fn flow_named(self, name: &str) -> Result<Self, Error> {
-        Ok(self.flow(FlowKind::from_name(name)?))
-    }
-
-    /// Installs a custom [`CompilationFlow`] strategy.
-    pub fn custom_flow(mut self, flow: Box<dyn CompilationFlow + Send + Sync>) -> Self {
-        self.flow = flow;
-        self
-    }
-
-    /// Sets Tabu-search options for flows that use them.
-    pub fn tabu(mut self, tabu: TabuOptions) -> Self {
-        self.tabu = tabu;
+        self.flow = kind;
         self
     }
 
@@ -202,20 +198,6 @@ impl Optimizer {
         self
     }
 
-    /// Caps (or forces) the worker threads of the once-per-kernel
-    /// noise-gain measurement (`0` = one per available core, the
-    /// default). Gains are bitwise identical for any thread count; this
-    /// only trades construction latency against CPU use. Re-runs the
-    /// per-kernel analyses, so call it before anything that reads
-    /// [`Optimizer::prepared`].
-    pub fn gain_threads(mut self, n: usize) -> Self {
-        let mut opts = EvalOptions::default();
-        opts.gains.threads = n;
-        self.prep = prepare_with(self.prep.kernel, &opts);
-        self.floor_db = std::sync::OnceLock::new();
-        self
-    }
-
     /// The kernel under optimization.
     pub fn kernel(&self) -> &Kernel {
         &self.prep.kernel
@@ -248,7 +230,7 @@ impl Optimizer {
 
     /// One constraint point checked against finiteness and the target's
     /// noise floor — the single copy of this validation.
-    fn check_point(&self, flow_name: &str, db: f64) -> Result<(), Error> {
+    fn check_point(&self, kind: FlowKind, db: f64) -> Result<(), Error> {
         if !db.is_finite() {
             return Err(Error::Config {
                 field: "constraint_db",
@@ -260,7 +242,7 @@ impl Optimizer {
         // specification has a meaningful noise figure.
         if floor.is_nan() || db < floor {
             return Err(Error::Unsatisfiable {
-                flow: flow_name.to_string(),
+                flow: kind.name().to_string(),
                 constraint_db: db,
                 floor_db: floor,
             });
@@ -268,44 +250,77 @@ impl Optimizer {
         Ok(())
     }
 
-    fn validated_constraint(&self, flow: &dyn CompilationFlow) -> Result<Option<f64>, Error> {
-        match (flow.needs_constraint(), self.constraint_db) {
-            (false, _) => Ok(None),
-            (true, None) => Err(crate::flow::missing_constraint(flow.name())),
-            (true, Some(db)) => {
-                self.check_point(flow.name(), db)?;
-                Ok(Some(db))
-            }
-        }
-    }
-
-    fn run_checked(
-        &self,
-        flow: &dyn CompilationFlow,
-        constraint_db: Option<f64>,
-    ) -> Result<Report, Error> {
+    /// Runs `kind` at a constraint already checked by
+    /// [`Optimizer::check_point`] (`None` for the float flow) and prices
+    /// the result into a [`Report`].
+    fn run_checked(&self, kind: FlowKind, constraint_db: Option<f64>) -> Result<Report, Error> {
         if self.activations == 0 {
             return Err(Error::Config {
                 field: "activations",
                 message: "cycle reporting needs at least one activation".into(),
             });
         }
-        let ctx = FlowContext {
-            prep: &self.prep,
-            target: &self.target,
-            constraint_db,
-            tabu: &self.tabu,
-            benefit: self.benefit,
-            sched: self.sched,
-            verify: self.verify,
+        let mut verify = |artifact: PassArtifact<'_>| {
+            verify_boundary(self.verify, &artifact).map_err(Error::Verify)
         };
-        let out = flow.run(&ctx)?;
+        let (prep, target) = (&self.prep, &self.target);
+        let res = match (kind, constraint_db) {
+            (FlowKind::WloSlp, Some(db)) => Some(wlo_slp_flow_checked(
+                prep,
+                target,
+                db,
+                self.benefit,
+                self.sched,
+                &mut verify,
+            )?),
+            (FlowKind::WloFirst, Some(db)) => Some(wlo_first_flow_checked(
+                prep,
+                target,
+                db,
+                &TabuOptions::default(),
+                self.benefit,
+                self.sched,
+                &mut verify,
+            )?),
+            (FlowKind::Float, _) => None,
+            (_, None) => return Err(missing_constraint(kind)),
+        };
+        let (spec, simd, scalar, group_count, noise_db, select) = match res {
+            Some(res) => (
+                Some(res.spec),
+                res.simd,
+                res.scalar,
+                res.group_count,
+                Some(res.noise_db),
+                res.select,
+            ),
+            None => {
+                verify(PassArtifact::Kernel {
+                    kernel: &prep.kernel,
+                })?;
+                let program = lower_float(&prep.kernel);
+                verify(PassArtifact::Program {
+                    program: &program,
+                    target,
+                    role: ProgramRole::Simd,
+                    sched: self.sched,
+                })?;
+                (
+                    None,
+                    program.clone(),
+                    program,
+                    0,
+                    None,
+                    SelectStats::default(),
+                )
+            }
+        };
         // One shared price cache for all four cycle counts; the list
         // counts ride along so pipelined reports can show what software
         // pipelining bought without a second run.
-        let costs = CycleCache::new(&self.target);
-        let total = |program: &MachineProgram, kind: SchedKind| {
-            cycles_per_activation(&costs, program, kind)
+        let costs = CycleCache::new(target);
+        let total = |program: &MachineProgram, sched: SchedKind| {
+            cycles_per_activation(&costs, program, sched)
                 .checked_mul(self.activations)
                 .ok_or_else(|| Error::Config {
                     field: "activations",
@@ -316,60 +331,52 @@ impl Optimizer {
                 })
         };
         Ok(Report {
-            kernel_name: self.prep.kernel.name().to_string(),
-            flow: flow.name().to_string(),
-            target: self.target.clone(),
-            kernel: self.prep.kernel.clone(),
+            kernel_name: prep.kernel.name().to_string(),
+            flow: kind.name().to_string(),
+            target: target.clone(),
+            kernel: prep.kernel.clone(),
             constraint_db,
-            spec: out.spec,
+            spec,
             sched: self.sched,
-            cycles_simd: total(&out.program, self.sched)?,
-            cycles_scalar: total(&out.scalar, self.sched)?,
-            cycles_simd_list: total(&out.program, SchedKind::List)?,
-            cycles_scalar_list: total(&out.scalar, SchedKind::List)?,
-            simd: out.program,
-            scalar: out.scalar,
-            group_count: out.group_count,
-            noise_db: out.noise_db,
+            cycles_simd: total(&simd, self.sched)?,
+            cycles_scalar: total(&scalar, self.sched)?,
+            cycles_simd_list: total(&simd, SchedKind::List)?,
+            cycles_scalar_list: total(&scalar, SchedKind::List)?,
+            simd,
+            scalar,
+            group_count,
+            noise_db,
             activations: self.activations,
-            select: out.select,
+            select,
         })
-    }
-
-    fn run_flow(&self, flow: &dyn CompilationFlow) -> Result<Report, Error> {
-        let constraint = self.validated_constraint(flow)?;
-        self.run_checked(flow, constraint)
     }
 
     /// Runs the configured flow at the configured constraint point.
     pub fn run(&self) -> Result<Report, Error> {
-        self.run_flow(self.flow.as_ref())
+        self.run_with(self.flow)
     }
 
-    /// Runs a built-in flow at the configured constraint point without
-    /// changing the configured strategy — the cheap way to compare flows
-    /// on one prepared kernel (the paper's whole evaluation does this).
+    /// Runs `kind` at the configured constraint point without changing
+    /// the configured flow — the cheap way to compare flows on one
+    /// prepared kernel (the paper's whole evaluation does this).
     pub fn run_with(&self, kind: FlowKind) -> Result<Report, Error> {
-        self.run_flow(kind.instantiate().as_ref())
+        let constraint = self.constraint_db.filter(|_| kind != FlowKind::Float);
+        if let Some(db) = constraint {
+            self.check_point(kind, db)?;
+        }
+        self.run_checked(kind, constraint)
     }
 
     /// Runs the configured flow at one explicit constraint point, leaving
     /// the builder-configured constraint untouched. This is the serial
     /// unit [`Optimizer::sweep`] parallelizes over.
     pub fn run_at(&self, db: f64) -> Result<Report, Error> {
-        let flow = self.flow.as_ref();
-        if !flow.needs_constraint() {
-            return Err(Self::constraint_free_flow_error(flow.name()));
+        let kind = self.flow;
+        if kind == FlowKind::Float {
+            return Err(constraint_free_flow_error(kind));
         }
-        self.check_point(flow.name(), db)?;
-        self.run_checked(flow, Some(db))
-    }
-
-    fn constraint_free_flow_error(flow: &str) -> Error {
-        Error::Config {
-            field: "flow",
-            message: format!("flow `{flow}` ignores constraints; use run() instead of sweep()"),
-        }
+        self.check_point(kind, db)?;
+        self.run_checked(kind, Some(db))
     }
 
     /// Runs the configured flow once per constraint point, reusing the
@@ -384,12 +391,12 @@ impl Optimizer {
     /// [`Optimizer::run_at`]. On any per-point error the first failing
     /// point (in constraint order) is returned.
     pub fn sweep(&self, constraints_db: &[f64]) -> Result<Vec<Report>, Error> {
-        let flow = self.flow.as_ref();
-        if !flow.needs_constraint() {
-            return Err(Self::constraint_free_flow_error(flow.name()));
+        let kind = self.flow;
+        if kind == FlowKind::Float {
+            return Err(constraint_free_flow_error(kind));
         }
         for &db in constraints_db {
-            self.check_point(flow.name(), db)?;
+            self.check_point(kind, db)?;
         }
         let n = constraints_db.len();
         let workers = self
@@ -403,7 +410,7 @@ impl Optimizer {
         if workers <= 1 {
             return constraints_db
                 .iter()
-                .map(|&db| self.run_checked(flow, Some(db)))
+                .map(|&db| self.run_checked(kind, Some(db)))
                 .collect();
         }
         let next = std::sync::atomic::AtomicUsize::new(0);
@@ -420,7 +427,7 @@ impl Optimizer {
                             if i >= n {
                                 return done;
                             }
-                            done.push((i, self.run_checked(flow, Some(constraints_db[i]))));
+                            done.push((i, self.run_checked(kind, Some(constraints_db[i]))));
                         }
                     })
                 })
@@ -550,7 +557,7 @@ kernel tiny {
     fn run_with_matches_the_configured_flow() {
         let opt = Optimizer::for_source(TINY).unwrap().constraint_db(-40.0);
         // `run_with` must agree with running the same flow configured
-        // through the builder, without mutating the configured strategy.
+        // through the builder, without changing the configured flow.
         let via_builder = Optimizer::for_source(TINY)
             .unwrap()
             .constraint_db(-40.0)
@@ -679,57 +686,5 @@ kernel tiny {
                 assert!(report.cycles_simd > 0);
             }
         }
-    }
-
-    #[test]
-    fn gain_threads_do_not_change_results() {
-        let base = Optimizer::for_source(TINY)
-            .unwrap()
-            .constraint_db(-40.0)
-            .run()
-            .unwrap();
-        let threaded = Optimizer::for_source(TINY)
-            .unwrap()
-            .gain_threads(2)
-            .constraint_db(-40.0)
-            .run()
-            .unwrap();
-        assert_eq!(base.cycles_simd, threaded.cycles_simd);
-        assert_eq!(base.group_count, threaded.group_count);
-        assert_eq!(
-            base.noise_db.unwrap().to_bits(),
-            threaded.noise_db.unwrap().to_bits(),
-            "gain measurement must be thread-count invariant"
-        );
-    }
-
-    #[test]
-    fn custom_flows_plug_in() {
-        struct CountingFlow;
-        impl CompilationFlow for CountingFlow {
-            fn name(&self) -> &'static str {
-                "counting"
-            }
-            fn needs_constraint(&self) -> bool {
-                false
-            }
-            fn run(&self, ctx: &FlowContext<'_>) -> Result<crate::flow::FlowOutput, Error> {
-                let program = slpwlo_core::lower_float(&ctx.prep.kernel);
-                Ok(crate::flow::FlowOutput {
-                    spec: None,
-                    scalar: program.clone(),
-                    program,
-                    group_count: 0,
-                    noise_db: None,
-                    select: Default::default(),
-                })
-            }
-        }
-        let report = Optimizer::for_source(TINY)
-            .unwrap()
-            .custom_flow(Box::new(CountingFlow))
-            .run()
-            .unwrap();
-        assert_eq!(report.flow, "counting");
     }
 }

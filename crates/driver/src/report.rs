@@ -16,7 +16,8 @@ use std::path::{Path, PathBuf};
 pub struct Report {
     /// Kernel name.
     pub kernel_name: String,
-    /// Registry name of the flow that produced this report.
+    /// Name ([`FlowKind::name`](crate::FlowKind::name)) of the flow that
+    /// produced this report.
     pub flow: String,
     /// The target compiled for (owned copy, so the report is
     /// self-contained for export and later inspection).

@@ -66,6 +66,14 @@ pub enum IrError {
     },
     /// A declared output is never assigned a value anywhere in the body.
     OutputUnset(String),
+    /// An array or parameter index can leave `i64`: its magnitude bound
+    /// `|offset| + Σ |coeff|·(trip − 1)` exceeds `i64::MAX`, with `trip`
+    /// the kernel's longest loop trip count. The index is carried
+    /// pre-formatted.
+    IndexOverflow {
+        /// The offending index expression.
+        index: String,
+    },
 }
 
 impl fmt::Display for IrError {
@@ -94,6 +102,12 @@ impl fmt::Display for IrError {
             }
             IrError::OutputUnset(name) => {
                 write!(f, "output `{name}` is never assigned")
+            }
+            IrError::IndexOverflow { index } => {
+                write!(
+                    f,
+                    "index `{index}` can leave the 64-bit range over the kernel's loops"
+                )
             }
         }
     }

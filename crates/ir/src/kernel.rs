@@ -307,13 +307,20 @@ impl Kernel {
             }
         }
         let mut output_set = vec![false; self.outputs.len()];
-        self.visit_stmts(&mut |s, _| {
-            if let Stmt::Output(idx, _) = s {
+        // Indices are bounded over the kernel's longest loop: a sound
+        // over-approximation of each index's own loop nest that needs no
+        // per-loop table.
+        let mut max_trip = 1u32;
+        self.visit_stmts(&mut |s, _| match s {
+            Stmt::Output(idx, _) => {
                 if let Some(slot) = output_set.get_mut(*idx) {
                     *slot = true;
                 }
             }
+            Stmt::For { count, .. } => max_trip = max_trip.max(*count),
+            _ => {}
         });
+        let span = i64::from(max_trip - 1);
         if let Some(missing) = output_set.iter().position(|&set| !set) {
             return Err(IrError::OutputUnset(self.outputs[missing].name.clone()));
         }
@@ -327,13 +334,21 @@ impl Kernel {
             Ok(())
         };
         for (id, node) in self.exprs.iter().enumerate() {
-            if let ExprNode::Const(v) = node {
-                if !v.is_finite() {
+            match node {
+                ExprNode::Const(v) if !v.is_finite() => {
                     return Err(IrError::NonFiniteValue {
                         site: format!("constant e{id}"),
                         value: v.to_string(),
                     });
                 }
+                ExprNode::LoadParam(_, ix) | ExprNode::LoadArray(_, ix)
+                    if !index_fits(ix, span) =>
+                {
+                    return Err(IrError::IndexOverflow {
+                        index: ix.to_string(),
+                    });
+                }
+                _ => {}
             }
             for op in node.operands() {
                 if op.index() >= self.exprs.len() {
@@ -346,6 +361,7 @@ impl Kernel {
             }
         }
         let mut roots = Vec::new();
+        let mut bad_store = None;
         self.visit_stmts(&mut |s, _| {
             if let Stmt::Assign(_, e)
             | Stmt::Store(_, _, e)
@@ -354,12 +370,35 @@ impl Kernel {
             {
                 roots.push(*e);
             }
+            if let Stmt::Store(_, ix, _) = s {
+                if !index_fits(ix, span) {
+                    bad_store = Some(ix);
+                }
+            }
         });
+        if let Some(ix) = bad_store {
+            return Err(IrError::IndexOverflow {
+                index: ix.to_string(),
+            });
+        }
         for r in roots {
             mark(r)?;
         }
         Ok(())
     }
+}
+
+/// Whether an index's magnitude bound `|offset| + Σ |coeff|·span` fits
+/// in `i64`, where `span` bounds every loop variable. Within the bound
+/// every partial sum of the index fits too — in the interpreters, in
+/// unrolling's [`IndexExpr::substitute`], in static index bounds and in
+/// emitted C.
+fn index_fits(ix: &IndexExpr, span: i64) -> bool {
+    let mut bound = ix.offset().checked_abs();
+    for &(_, c) in ix.terms() {
+        bound = bound.and_then(|b| c.checked_abs()?.checked_mul(span)?.checked_add(b));
+    }
+    bound.is_some()
 }
 
 #[cfg(test)]

@@ -668,9 +668,9 @@ impl Parser {
                         self.pos += 1;
                         let n = self.ident("loop variable")?;
                         let l = self.lookup_loop(&n)?;
-                        ix.add_term(l, sign * v);
+                        self.add_index_term(&mut ix, Some(l), sign * v)?;
                     } else {
-                        ix.add_offset(sign * v);
+                        self.add_index_term(&mut ix, None, sign * v)?;
                     }
                 }
                 Some(Tok::Ident(n)) => {
@@ -679,9 +679,9 @@ impl Parser {
                     if self.peek() == Some(&Tok::Star) {
                         self.pos += 1;
                         let v = self.integer()?;
-                        ix.add_term(l, sign * v);
+                        self.add_index_term(&mut ix, Some(l), sign * v)?;
                     } else {
-                        ix.add_term(l, sign);
+                        self.add_index_term(&mut ix, Some(l), sign)?;
                     }
                 }
                 Some(Tok::Minus) => {
@@ -706,6 +706,32 @@ impl Parser {
                 _ => return Ok(ix),
             }
         }
+    }
+
+    /// Adds `coeff * loop` (or the constant `coeff` when `l` is `None`)
+    /// to `ix`, refusing a sum that leaves `i64`.
+    fn add_index_term(
+        &self,
+        ix: &mut IndexExpr,
+        l: Option<LoopId>,
+        coeff: i64,
+    ) -> Result<(), IrError> {
+        let current = match l {
+            Some(l) => ix
+                .terms()
+                .iter()
+                .find(|&&(v, _)| v == l)
+                .map_or(0, |&(_, c)| c),
+            None => ix.offset(),
+        };
+        if current.checked_add(coeff).is_none() {
+            return Err(self.err("index arithmetic overflows 64 bits"));
+        }
+        match l {
+            Some(l) => ix.add_term(l, coeff),
+            None => ix.add_offset(coeff),
+        }
+        Ok(())
     }
 
     fn lookup_loop(&self, name: &str) -> Result<LoopId, IrError> {

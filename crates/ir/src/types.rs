@@ -270,7 +270,7 @@ impl fmt::Display for IndexExpr {
             } else if c == -1 {
                 write!(f, " - {var}")?;
             } else {
-                write!(f, " - {}*{var}", -c)?;
+                write!(f, " - {}*{var}", c.unsigned_abs())?;
             }
         }
         if first {
@@ -278,7 +278,7 @@ impl fmt::Display for IndexExpr {
         } else if self.offset > 0 {
             write!(f, " + {}", self.offset)?;
         } else if self.offset < 0 {
-            write!(f, " - {}", -self.offset)?;
+            write!(f, " - {}", self.offset.unsigned_abs())?;
         }
         Ok(())
     }

@@ -31,8 +31,8 @@
 //! for end-to-end walkthroughs.
 
 pub use slpwlo_driver::{
-    BenefitKind, CompilationFlow, Error, ExportedC, FlowContext, FlowKind, FlowOutput, Optimizer,
-    Report, SelectStats, VerifyError, VerifyLevel,
+    BenefitKind, Error, ExportedC, FlowKind, Optimizer, Report, SelectStats, VerifyError,
+    VerifyLevel,
 };
 
 pub use slpwlo_accuracy as accuracy;

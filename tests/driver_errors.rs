@@ -52,6 +52,7 @@ fn parse_errors_carry_location_and_chain() {
 
 #[test]
 fn invalid_input_range_is_typed() {
+    use slpwlo::ir::types::IndexExpr;
     use slpwlo::ir::IrError;
     // lo > hi: programmatically-built kernels fail `Kernel::validate`
     // (run by `try_finish`) with a typed error instead of a delayed
@@ -109,6 +110,45 @@ fn invalid_input_range_is_typed() {
                 assert!(site.starts_with(want_site), "{src:?}: site {site}");
             }
             other => panic!("{src:?}: expected NonFiniteValue, got {other:?}"),
+        }
+    }
+
+    // Index arithmetic that leaves `i64`: a constant sum the parser
+    // refuses, and an affine index whose extreme over its loop
+    // (`3 * 2^62`) validation refuses.
+    match Optimizer::for_source(
+        "kernel k { input x range [-1, 1]; output y; array dl[4]; shiftin dl <- x; \
+         y = dl[9223372036854775807 + 9223372036854775807]; }",
+    ) {
+        Err(Error::Parse(IrError::Parse { msg, .. })) => assert!(msg.contains("overflow"), "{msg}"),
+        other => panic!("expected a parse error, got {other:?}"),
+    }
+    match Optimizer::for_source(
+        "kernel k { input x range [-1, 1]; output y; array dl[4]; var acc; shiftin dl <- x; \
+         acc = 0.0; for i in 0..4 { acc = acc + dl[4611686018427387904 * i]; } y = acc; }",
+    ) {
+        Err(Error::Parse(IrError::IndexOverflow { index })) => {
+            assert!(index.starts_with("4611686018427387904*"), "{index}");
+        }
+        other => panic!("expected IndexOverflow, got {other:?}"),
+    }
+    // Built kernels are held to the same bound: `coeff * l` over
+    // `for l in 0..4` peaks at `3 * coeff`.
+    for (coeff, fits) in [(i64::MAX / 3, true), (i64::MAX / 3 + 1, false)] {
+        let mut b = KernelBuilder::new("wide_stride");
+        let x = b.input("x", -1.0, 1.0);
+        let a = b.array("a", 4);
+        let y = b.output("y");
+        let l = b.begin_for(4);
+        let xv = b.read_input(x);
+        b.store_ix(a, IndexExpr::affine(l, coeff, 0), xv);
+        b.end_for(l);
+        let out = b.load(a, 0);
+        b.set_output(y, out);
+        match b.try_finish() {
+            Ok(_) => assert!(fits, "coeff {coeff} must be refused"),
+            Err(IrError::IndexOverflow { .. }) => assert!(!fits, "coeff {coeff} fits"),
+            Err(other) => panic!("expected IndexOverflow, got {other:?}"),
         }
     }
 
@@ -219,15 +259,6 @@ fn invalid_builder_configuration_is_typed() -> Result<(), Error> {
             ),
             "{err}"
         );
-    }
-
-    // Unknown flow names.
-    let err = Optimizer::for_source(GOOD)?
-        .flow_named("hyperopt")
-        .unwrap_err();
-    match err {
-        Error::UnknownFlow(name) => assert_eq!(name, "hyperopt"),
-        other => panic!("expected UnknownFlow, got {other:?}"),
     }
 
     // Sweeping the float flow (which ignores constraints) is refused.
