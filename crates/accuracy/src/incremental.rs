@@ -21,13 +21,23 @@
 //!   source produces the exact f64 pair a full walk would;
 //! * totals are re-folded over the cached contributions in source order —
 //!   the same associativity as the full recompute's loop — instead of
-//!   being patched with subtract-and-add (which drifts in the last ulp).
+//!   being patched with subtract-and-add (which drifts in the last ulp);
+//! * the fold resumes from a cached **prefix**: `prefix[i]` is the
+//!   left-to-right fold of the committed contributions of sources
+//!   `0..i`, exactly the partial sum the full loop holds before source
+//!   `i`. A trial whose lowest touched source is `lo` starts from
+//!   `prefix[lo]` and adds only `lo..`, so its total is the same
+//!   sequence of additions as a fold from zero. The prefixes are valid up
+//!   to a watermark: committed trials and `observe` lower it to the
+//!   lowest source they changed, a resync resets it to zero, and each
+//!   trial fold raises it again up to its own `lo` (sources below `lo`
+//!   hold committed values during the trial).
 //!
-//! The fold is O(sources) in *additions only*; the expensive per-source
-//! work (gain lookups, operand-grid resolution, noise statistics) is what
-//! the index avoids. `tests/incremental_differential.rs` replays thousands
-//! of random move/undo sequences and asserts bitwise equality on every
-//! step.
+//! The expensive per-source work (gain lookups, operand-grid resolution,
+//! noise statistics) is what the index avoids; the prefix keeps the
+//! remaining additions to the sources at or after the lowest touched
+//! one. `tests/incremental_differential.rs` replays thousands of random
+//! move/undo sequences and asserts bitwise equality on every step.
 //!
 //! # Protocol
 //!
@@ -63,6 +73,14 @@ struct State {
     /// Whether `contrib` reflects some spec state (set by the first
     /// `begin`/resync).
     synced: bool,
+    /// `prefix[i]`: left-to-right fold of the committed contributions of
+    /// sources `0..i` (`prefix[0]` is zero); `sources + 1` entries.
+    prefix: Vec<(f64, f64)>,
+    /// `prefix[..=valid]` match the committed contributions.
+    valid: usize,
+    /// Lowest source the outstanding trial changed (the source count
+    /// when it changed none).
+    trial_lo: usize,
 }
 
 /// Incremental `EVALACC`: evaluates candidate moves in O(Δ) by caching
@@ -107,6 +125,9 @@ impl<'a> IncrementalEvaluator<'a> {
                 touched: vec![0; n],
                 trial_id: 0,
                 synced: false,
+                prefix: vec![(0.0, 0.0); n + 1],
+                valid: 0,
+                trial_lo: n,
             }),
         }
     }
@@ -133,14 +154,23 @@ impl<'a> IncrementalEvaluator<'a> {
         st.saved.clear();
         st.pending = false;
         st.synced = true;
+        st.valid = 0;
     }
 
     /// Folds the cached contributions into the linear noise power —
-    /// source order, matching [`AnalyticalEvaluator::noise_power`].
-    fn fold_power(st: &State) -> f64 {
-        let mut bias = 0.0;
-        let mut var = 0.0;
-        for &(b, v) in &st.contrib {
+    /// source order, matching [`AnalyticalEvaluator::noise_power`] —
+    /// resuming from the prefix fold at `lo`. Sources below `lo` must
+    /// hold committed contributions: the prefix is extended over them
+    /// and cached, the rest is folded without caching.
+    fn fold_power(st: &mut State, lo: usize) -> f64 {
+        while st.valid < lo {
+            let (pb, pv) = st.prefix[st.valid];
+            let (b, v) = st.contrib[st.valid];
+            st.valid += 1;
+            st.prefix[st.valid] = (pb + b, pv + v);
+        }
+        let (mut bias, mut var) = st.prefix[lo];
+        for &(b, v) in &st.contrib[lo..] {
             bias += b;
             var += v;
         }
@@ -156,10 +186,18 @@ impl<'a> IncrementalEvaluator<'a> {
     }
 
     /// Re-evaluates the sources affected by the journaled writes since
-    /// `mark`, remembering previous values when `save` is set.
-    fn apply_changes(&self, st: &mut State, spec: &FixedPointSpec, mark: usize, save: bool) {
+    /// `mark`, remembering previous values when `save` is set. Returns
+    /// the lowest source it re-evaluated (the source count if none).
+    fn apply_changes(
+        &self,
+        st: &mut State,
+        spec: &FixedPointSpec,
+        mark: usize,
+        save: bool,
+    ) -> usize {
         st.trial_id += 1;
         let id = st.trial_id;
+        let mut lo = st.contrib.len();
         for key in spec.changed_since(mark) {
             let Some(sources) = self.index.get(&key) else {
                 continue;
@@ -170,12 +208,14 @@ impl<'a> IncrementalEvaluator<'a> {
                     continue;
                 }
                 st.touched[i] = id;
+                lo = lo.min(i);
                 if save {
                     st.saved.push((si, st.contrib[i]));
                 }
                 st.contrib[i] = self.base.contribution_at(i, spec);
             }
         }
+        lo
     }
 }
 
@@ -184,7 +224,9 @@ impl AccuracyEvaluator for IncrementalEvaluator<'_> {
     /// outstanding trial), so it stays usable as a plain evaluator.
     fn noise_db(&self, spec: &FixedPointSpec) -> f64 {
         self.resync(spec);
-        Self::to_db(Self::fold_power(&self.state.borrow()))
+        let st = &mut *self.state.borrow_mut();
+        let n = st.contrib.len();
+        Self::to_db(Self::fold_power(st, n))
     }
 
     fn begin(&self, spec: &FixedPointSpec) {
@@ -199,14 +241,16 @@ impl AccuracyEvaluator for IncrementalEvaluator<'_> {
         );
         assert!(st.synced, "begin() must seed the cache before trials");
         st.pending = true;
-        self.apply_changes(st, spec, mark, true);
-        Self::to_db(Self::fold_power(st))
+        let lo = self.apply_changes(st, spec, mark, true);
+        st.trial_lo = lo;
+        Self::to_db(Self::fold_power(st, lo))
     }
 
     fn commit_trial(&self) {
         let st = &mut *self.state.borrow_mut();
         st.saved.clear();
         st.pending = false;
+        st.valid = st.valid.min(st.trial_lo);
     }
 
     fn rollback_trial(&self) {
@@ -229,7 +273,8 @@ impl AccuracyEvaluator for IncrementalEvaluator<'_> {
             !st.pending,
             "unresolved trial: commit_trial() or rollback_trial() first"
         );
-        self.apply_changes(st, spec, mark, false);
+        let lo = self.apply_changes(st, spec, mark, false);
+        st.valid = st.valid.min(lo);
     }
 }
 

@@ -102,8 +102,12 @@ pub trait AccuracyEvaluator {
     fn rollback_trial(&self) {}
 
     /// Notifies the evaluator of journaled writes since `mark` that were
-    /// applied *without* a trial (snapshot restores, forced moves) and are
-    /// permanent. Stateless evaluators ignore it.
+    /// applied *without* a trial (snapshot restores, forced moves) and
+    /// stand until further notice. A conflict row uses it twice: once for
+    /// the row's base candidate, applied before its partners are trialed
+    /// on top of it, and once for the undo of that candidate, re-written
+    /// under a fresh mark after the spec was rolled back. Stateless
+    /// evaluators ignore it.
     fn observe(&self, spec: &FixedPointSpec, mark: usize) {
         let _ = (spec, mark);
     }

@@ -42,23 +42,42 @@ use slpwlo_core::{
 use slpwlo_driver::{BenefitKind, Error, FlowKind, Optimizer};
 use slpwlo_fixedpoint::FixedPointSpec;
 use slpwlo_ir::blocks::blocks_by_priority;
-use slpwlo_ir::dfg::Dfg;
+use slpwlo_ir::dfg::{Dfg, NodeId};
 use slpwlo_kernels::{all_benchmarks, paper_benchmarks, Benchmark};
 use slpwlo_slp::{extract_rounds, BenefitModel, CandidateView, Round, SelectHooks, SelectStats};
 use slpwlo_targets::{all_targets, st240, vex, xentium, CycleCache, TargetModel};
 
-/// Accuracy hooks with the pairwise conflict detection disabled.
+/// Accuracy hooks with the pairwise conflict detection disabled: every
+/// hook but the conflict row forwards to the joint flow's hooks, so the
+/// column ablates the conflicts and nothing else (pricing still reads the
+/// evolving spec, equalization and the scheduler are still declared, and
+/// the exact selector can still checkpoint).
 struct NoConflictHooks<'a>(AccuracyHooks<'a>);
 
 impl SelectHooks for NoConflictHooks<'_> {
     fn validate(&mut self, view: &CandidateView) -> bool {
         self.0.validate(view)
     }
-    fn accuracy_conflict(&mut self, _a: &CandidateView, _b: &CandidateView) -> bool {
-        false
-    }
     fn on_select(&mut self, view: &CandidateView) -> bool {
         self.0.on_select(view)
+    }
+    fn current_wl(&self, node: NodeId) -> Option<i32> {
+        self.0.current_wl(node)
+    }
+    fn current_fwl(&self, node: NodeId) -> Option<i32> {
+        self.0.current_fwl(node)
+    }
+    fn equalization_follows(&self) -> bool {
+        self.0.equalization_follows()
+    }
+    fn sched_kind(&self) -> SchedKind {
+        self.0.sched_kind()
+    }
+    fn checkpoint(&mut self) {
+        self.0.checkpoint();
+    }
+    fn restore(&mut self) {
+        self.0.restore();
     }
 }
 

@@ -8,7 +8,13 @@
 //!   never be realised and is eliminated up-front;
 //! * **accuracy conflicts** (lines 13–25): two individually valid
 //!   candidates whose *joint* selection violates the constraint cannot
-//!   coexist;
+//!   coexist. The loop asks one row at a time — a candidate against all
+//!   of its structurally compatible later partners — so the row's
+//!   candidate is `SETMAXWL`-ed once, each partner is trialed on top of
+//!   it, and the candidate is undone when the row ends. Every pair's
+//!   joint spec is the same min-composition of caps a pairwise trial
+//!   would build, so every verdict is the same, at the cost of the
+//!   partner's noise sources alone;
 //! * **selection** (lines 26–35): `SETMAXWL` permanently shrinks the
 //!   selected group's word lengths per equation (1); should the cumulative
 //!   effect of a selection break the constraint after all (the paper's
@@ -82,14 +88,37 @@ impl SelectHooks for AccuracyHooks<'_> {
         ok
     }
 
-    fn accuracy_conflict(&mut self, a: &CandidateView, b: &CandidateView) -> bool {
-        let mark = self.spec.mark();
+    /// One conflict row: `SETMAXWL(a)` is applied once and reported to
+    /// the evaluator with `observe`, each partner is one trial on top of
+    /// it, and `a`'s formats are restored and reported before returning.
+    fn accuracy_conflicts(
+        &mut self,
+        a: &CandidateView,
+        others: &[&CandidateView],
+        out: &mut Vec<bool>,
+    ) {
+        let base = self.spec.mark();
         set_max_wl(self.spec, self.dfg, &a.group, a.elem_wl);
-        set_max_wl(self.spec, self.dfg, &b.group, b.elem_wl);
-        let ok = self.trial_meets(mark);
-        self.spec.rollback(mark);
-        self.eval.rollback_trial();
-        !ok
+        self.eval.observe(self.spec, base);
+        for b in others {
+            let mark = self.spec.mark();
+            set_max_wl(self.spec, self.dfg, &b.group, b.elem_wl);
+            out.push(!self.trial_meets(mark));
+            self.spec.rollback(mark);
+            self.eval.rollback_trial();
+        }
+        // Undo `a`. The evaluator only learns of writes through the
+        // journal, so the restored formats are re-written under a fresh
+        // mark, observed, and the no-op writes dropped again.
+        let touched: Vec<SpecKey> = self.spec.changed_since(base).collect();
+        self.spec.rollback(base);
+        let undo = self.spec.mark();
+        for key in touched {
+            let fmt = self.spec.format(key);
+            self.spec.set_format(key, fmt);
+        }
+        self.eval.observe(self.spec, undo);
+        self.spec.rollback(undo);
     }
 
     fn on_select(&mut self, view: &CandidateView) -> bool {
@@ -300,6 +329,100 @@ kernel f {
                     "benefit model must avoid gathered load groups here"
                 );
             }
+        }
+    }
+
+    /// Every format a `SETMAXWL` can write: all expressions plus the
+    /// optimizable arrays and parameter tables.
+    fn formats(k: &Kernel, spec: &FixedPointSpec) -> Vec<slpwlo_fixedpoint::QFormat> {
+        k.exprs()
+            .map(|(id, _)| SpecKey::Expr(id))
+            .chain(spec.optimizable_keys(k))
+            .map(|key| spec.format(key))
+            .collect()
+    }
+
+    #[test]
+    fn conflict_rows_match_the_pairwise_oracle() {
+        use slpwlo_accuracy::IncrementalEvaluator;
+        use slpwlo_ir::blocks::blocks_by_priority;
+        use slpwlo_kernels::{biquad_cascade4, complex_fir32, conv3x3};
+        use slpwlo_slp::conflict::conflicts;
+        use slpwlo_slp::Round;
+
+        let target = xentium();
+        // Constraints tight enough that each first round holds both
+        // coexisting and conflicting pairs.
+        for (kernel, db) in [
+            (complex_fir32(), -90.0),
+            (biquad_cascade4(), -80.0),
+            (conv3x3(), -95.0),
+        ] {
+            // How many pairs coexist / conflict.
+            let mut verdicts = [0usize; 2];
+            let prep = crate::prepare(kernel);
+            let k = &prep.kernel;
+            let dfg = Dfg::from_block(k, &blocks_by_priority(k)[0]);
+            let mut spec = FixedPointSpec::from_ranges(k, &prep.ranges, target.max_wl());
+            let inc = IncrementalEvaluator::new(&prep.eval);
+            let mut hooks = AccuracyHooks::new(&dfg, &mut spec, &inc, db);
+            let round = Round::new(&dfg, &target, &[]);
+            let n = round.candidates.len();
+            let views: Vec<CandidateView> = (0..n).map(|i| round.view(&target, i)).collect();
+            let alive: Vec<bool> = views.iter().map(|v| hooks.validate(v)).collect();
+            for i in (0..n).filter(|&i| alive[i]) {
+                let partners: Vec<usize> = (i + 1..n)
+                    .filter(|&j| alive[j] && !conflicts(&dfg, &round, i, j))
+                    .collect();
+                if partners.is_empty() {
+                    continue;
+                }
+                let before = hooks.spec.clone();
+                let before_formats = formats(k, &before);
+                // An empty trial folds the evaluator's cached contributions
+                // alone, so it sees any the row left stale.
+                let probe = |hooks: &mut AccuracyHooks| {
+                    let db = inc.trial_noise_db(hooks.spec, hooks.spec.mark());
+                    inc.rollback_trial();
+                    db.to_bits()
+                };
+                let probe_before = probe(&mut hooks);
+                assert_eq!(probe_before, prep.eval.noise_db(&before).to_bits());
+
+                let others: Vec<&CandidateView> = partners.iter().map(|&j| &views[j]).collect();
+                let mut row = Vec::new();
+                hooks.accuracy_conflicts(&views[i], &others, &mut row);
+                assert_eq!(row.len(), partners.len());
+                for (&j, &conflict) in partners.iter().zip(&row) {
+                    let mut joint = before.clone();
+                    set_max_wl(&mut joint, &dfg, &views[i].group, views[i].elem_wl);
+                    set_max_wl(&mut joint, &dfg, &views[j].group, views[j].elem_wl);
+                    assert_eq!(
+                        conflict,
+                        !prep.eval.meets(&joint, db),
+                        "{}: pair ({i}, {j})",
+                        k.name()
+                    );
+                    verdicts[usize::from(conflict)] += 1;
+                }
+                assert_eq!(
+                    formats(k, hooks.spec),
+                    before_formats,
+                    "{}: row {i} left the spec changed",
+                    k.name()
+                );
+                assert_eq!(
+                    probe(&mut hooks),
+                    probe_before,
+                    "{}: row {i} left the evaluator changed",
+                    k.name()
+                );
+            }
+            assert!(
+                verdicts[0] > 0 && verdicts[1] > 0,
+                "{}: the rows must see both verdicts, got {verdicts:?}",
+                k.name()
+            );
         }
     }
 

@@ -48,7 +48,7 @@ pub fn menard_cost(kernel: &Kernel, spec: &FixedPointSpec, execs: &[u64]) -> f64
     let max_wl = spec.max_wl() as f64;
     let mut cost = 0.0;
     for (id, node) in kernel.exprs() {
-        if matches!(node, ExprNode::Bin(..) | ExprNode::Unary(..)) {
+        if is_priced(node) {
             let wl = spec.wl(SpecKey::Expr(id)) as f64;
             cost += execs[id.index()] as f64 * (wl / max_wl);
         }
@@ -61,7 +61,13 @@ pub fn menard_cost(kernel: &Kernel, spec: &FixedPointSpec, execs: &[u64]) -> f64
 ///
 /// Moves shrink or widen one node's word length one step along the
 /// supported set (e.g. 32 -> 16 -> 8). Returns the cost of the final
-/// specification.
+/// specification ([`menard_cost`] of it).
+///
+/// The search tracks the cost as integer units `Σ execs·wl` — the Menard
+/// cost scaled by `max_wl` — and updates it per move in O(1) instead of
+/// re-walking the kernel per neighbour. For a power-of-two `max_wl` (every
+/// target preset) each float cost is exactly `units / max_wl`, so the
+/// comparisons, and therefore the moves, are those of the float cost.
 pub fn tabu_wlo(
     kernel: &Kernel,
     spec: &mut FixedPointSpec,
@@ -87,8 +93,22 @@ pub fn tabu_wlo(
         }
     };
 
+    // Cost units each key adds per bit of word length: only operation
+    // expressions are priced.
+    let weights: Vec<u64> = keys
+        .iter()
+        .map(|&key| match key {
+            SpecKey::Expr(id) if is_priced(kernel.expr(id)) => execs[id.index()],
+            _ => 0,
+        })
+        .collect();
+
     let mut best_snap = snapshot(spec);
-    let mut best_cost = menard_cost(kernel, spec, &execs);
+    let mut best_cost: u64 = kernel
+        .exprs()
+        .filter(|(_, node)| is_priced(node))
+        .map(|(id, _)| execs[id.index()] * spec.wl(SpecKey::Expr(id)) as u64)
+        .sum();
     let mut cur_cost = best_cost;
     let mut tabu: HashMap<SpecKey, usize> = HashMap::new();
     let mut stall = 0usize;
@@ -99,7 +119,7 @@ pub fn tabu_wlo(
 
     for iter in 0..opts.max_iters {
         // Enumerate neighbour moves: one key one step down or up.
-        let mut best_move: Option<(SpecKey, i32, f64)> = None;
+        let mut best_move: Option<(SpecKey, i32, u64)> = None;
         let mut order: Vec<usize> = (0..keys.len()).collect();
         order.shuffle(&mut rng);
         for ki in order {
@@ -112,17 +132,12 @@ pub fn tabu_wlo(
                 let mark = spec.mark();
                 spec.set_wl(key, next);
                 let feasible = eval.trial_meets(spec, mark, constraint_db);
-                // Only feasible moves pay the O(kernel) cost walk.
-                let cost = if feasible {
-                    menard_cost(kernel, spec, &execs)
-                } else {
-                    f64::INFINITY
-                };
                 spec.rollback(mark);
                 eval.rollback_trial();
                 if !feasible {
                     continue;
                 }
+                let cost = cur_cost + weights[ki] * next as u64 - weights[ki] * cur as u64;
                 // Aspiration: a tabu-breaking move is allowed when it
                 // beats the global best (handled by the tabu skip above
                 // being per-key; keep simple).
@@ -162,7 +177,12 @@ pub fn tabu_wlo(
     let mark = spec.mark();
     restore(spec, &best_snap);
     eval.observe(spec, mark);
-    best_cost
+    menard_cost(kernel, spec, &execs)
+}
+
+/// Whether the Menard cost prices an expression (operations only).
+fn is_priced(node: &ExprNode) -> bool {
+    matches!(node, ExprNode::Bin(..) | ExprNode::Unary(..))
 }
 
 /// Applies an accepted move permanently, keeping incremental evaluators
@@ -289,6 +309,30 @@ kernel f {
         assert_eq!(c1, c2);
         for key in s1.optimizable_keys(&k) {
             assert_eq!(s1.wl(key), s2.wl(key));
+        }
+    }
+
+    #[test]
+    fn returned_cost_is_the_menard_cost_of_the_returned_spec() {
+        // The search ranks moves by integer units; what it returns must
+        // still be the float cost of the spec it leaves behind.
+        let (k, _, eval) = setup();
+        let execs = expr_executions(&k);
+        for db in [-20.0, -50.0, -80.0, -170.0] {
+            let (_, mut spec, _) = setup();
+            let cost = tabu_wlo(
+                &k,
+                &mut spec,
+                &eval,
+                db,
+                &[8, 16, 32],
+                &TabuOptions::default(),
+            );
+            assert_eq!(
+                cost.to_bits(),
+                menard_cost(&k, &spec, &execs).to_bits(),
+                "{db} dB"
+            );
         }
     }
 

@@ -15,21 +15,6 @@ use crate::candidate::Round;
 use crate::group::group_reaches;
 use slpwlo_ir::dfg::Dfg;
 
-/// Enumerates structural conflicts as pairs of candidate indices
-/// (`i < j`).
-pub fn structural_conflicts(dfg: &Dfg, round: &Round) -> Vec<(usize, usize)> {
-    let n = round.candidates.len();
-    let mut out = Vec::new();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if conflicts(dfg, round, i, j) {
-                out.push((i, j));
-            }
-        }
-    }
-    out
-}
-
 /// Tests whether candidates `i` and `j` structurally conflict.
 pub fn conflicts(dfg: &Dfg, round: &Round, i: usize, j: usize) -> bool {
     let a = round.candidates[i];
@@ -40,13 +25,12 @@ pub fn conflicts(dfg: &Dfg, round: &Round, i: usize, j: usize) -> bool {
     }
     // Overlapping elements through different items (possible in extension
     // rounds where one node sits in a prior group).
-    let ga = round.items[a.left].concat(&round.items[a.right]);
-    let gb = round.items[b.left].concat(&round.items[b.right]);
-    if ga.overlaps(&gb) {
+    let (ga, gb) = (round.merged(i), round.merged(j));
+    if ga.overlaps(gb) {
         return true;
     }
     // Cyclic dependency: both groups reach each other.
-    group_reaches(dfg, &ga, &gb) && group_reaches(dfg, &gb, &ga)
+    group_reaches(dfg, ga, gb) && group_reaches(dfg, gb, ga)
 }
 
 #[cfg(test)]
@@ -149,7 +133,6 @@ kernel sh {
         let round = Round::new(&dfg, &xentium(), &[]);
         // Three independent muls yield several pair candidates sharing
         // items; all sharing pairs must be conflicts.
-        let conf = structural_conflicts(&dfg, &round);
         let mut mul_cands = Vec::new();
         for (idx, c) in round.candidates.iter().enumerate() {
             let g = round.items[c.left].concat(&round.items[c.right]);
@@ -174,7 +157,7 @@ kernel sh {
                     || ca.right == cb.right;
                 if shares {
                     assert!(
-                        conf.contains(&(a.min(b), a.max(b))),
+                        conflicts(&dfg, &round, a.min(b), a.max(b)),
                         "sharing candidates must conflict"
                     );
                 }

@@ -6,9 +6,10 @@
 //!
 //! * [`SelectHooks::validate`] — "eliminate candidates violating the
 //!   constraint" (fig. 1c lines 6–12);
-//! * [`SelectHooks::accuracy_conflict`] — the additional conflicts of
+//! * [`SelectHooks::accuracy_conflicts`] — the additional conflicts of
 //!   lines 16–22 (two candidates that cannot *coexist* within the noise
-//!   budget);
+//!   budget), asked one row at a time: a candidate against all of its
+//!   structurally compatible later partners;
 //! * [`SelectHooks::on_select`] — `SETMAXWL` on the chosen group, with the
 //!   option to veto a selection whose cumulative effect would break the
 //!   constraint (a strict guard the paper implies through its conflict
@@ -29,10 +30,13 @@ use slpwlo_targets::{CycleCache, SchedKind, TargetModel};
 /// that mutate shared state (the fixed-point spec, an incremental
 /// accuracy evaluator's caches) must leave it resolved — committed or
 /// rolled back — before returning, because the loop interleaves
-/// `validate`, `accuracy_conflict` and `on_select` calls in benefit order
-/// with no cleanup pass of its own. `slpwlo-core`'s `AccuracyHooks`
-/// realises each probe as one `SETMAXWL` trial against the evaluator's
-/// incremental trial/commit/rollback protocol.
+/// `validate`, `accuracy_conflicts` and `on_select` calls in benefit
+/// order with no cleanup pass of its own. `slpwlo-core`'s
+/// `AccuracyHooks` realises `validate`/`on_select` as one `SETMAXWL`
+/// trial each against the evaluator's incremental
+/// trial/commit/rollback protocol, and a conflict row as one `SETMAXWL`
+/// of the row's candidate followed by one trial per partner on top of
+/// it, undone before the row returns.
 pub trait SelectHooks {
     /// Candidate admission check, called once per candidate before
     /// conflict analysis. Return `false` to discard the candidate.
@@ -41,11 +45,21 @@ pub trait SelectHooks {
         true
     }
 
-    /// Extra (non-structural) conflict between two candidates. Called
-    /// only for structurally compatible pairs.
-    fn accuracy_conflict(&mut self, a: &CandidateView, b: &CandidateView) -> bool {
-        let _ = (a, b);
-        false
+    /// Extra (non-structural) conflicts of candidate `a` against a row of
+    /// later candidates: appends to `out` one verdict per entry of
+    /// `others`, in order — `true` when `a` and that partner cannot
+    /// coexist. `others` holds only live candidates structurally
+    /// compatible with `a`, and the call is skipped when it is empty.
+    /// Answering a whole row at once lets an implementation pay for `a`'s
+    /// side of every pair once. The default reports no conflicts.
+    fn accuracy_conflicts(
+        &mut self,
+        a: &CandidateView,
+        others: &[&CandidateView],
+        out: &mut Vec<bool>,
+    ) {
+        let _ = a;
+        out.resize(out.len() + others.len(), false);
     }
 
     /// Called when the loop wants to select a candidate. Apply side
@@ -139,20 +153,41 @@ pub fn run_selection(
     // Candidate validation (fig. 1c lines 4-12).
     let alive: Vec<bool> = views.iter().map(|v| hooks.validate(v)).collect();
 
-    // Conflict detection (fig. 1c lines 13-25).
+    // Conflict detection (fig. 1c lines 13-25), one row per live
+    // candidate: structural conflicts first, then one accuracy row over
+    // the structurally compatible later partners. `conf` stays in
+    // ascending `(i, j)` order.
     let mut conf: Vec<(usize, usize)> = Vec::new();
-    for i in 0..n {
-        if !alive[i] {
-            continue;
-        }
-        for j in (i + 1)..n {
-            if !alive[j] {
-                continue;
+    let mut hits: Vec<usize> = Vec::new();
+    let mut partners: Vec<usize> = Vec::new();
+    let mut others: Vec<&CandidateView> = Vec::new();
+    let mut row: Vec<bool> = Vec::new();
+    for i in (0..n).filter(|&i| alive[i]) {
+        hits.clear();
+        partners.clear();
+        for j in (i + 1..n).filter(|&j| alive[j]) {
+            if conflicts(dfg, round, i, j) {
+                hits.push(j);
+            } else {
+                partners.push(j);
             }
-            if conflicts(dfg, round, i, j) || hooks.accuracy_conflict(&views[i], &views[j]) {
-                conf.push((i, j));
-            }
         }
+        if !partners.is_empty() {
+            others.clear();
+            others.extend(partners.iter().map(|&j| &views[j]));
+            row.clear();
+            hooks.accuracy_conflicts(&views[i], &others, &mut row);
+            assert_eq!(row.len(), partners.len(), "one verdict per partner");
+            hits.extend(
+                partners
+                    .iter()
+                    .zip(&row)
+                    .filter(|&(_, &c)| c)
+                    .map(|(&j, _)| j),
+            );
+            hits.sort_unstable();
+        }
+        conf.extend(hits.iter().map(|&j| (i, j)));
     }
 
     if let BenefitKind::Optimal { budget } = benefit {

@@ -149,3 +149,66 @@ fn incremental_matches_full_after_deep_nested_rollbacks() {
         inc.rollback_trial();
     }
 }
+
+#[test]
+fn prefix_fold_tracks_watermark_moves_in_both_directions() {
+    // Noise sources follow expression order, so the first expression
+    // keys touch low source indices and the last ones high indices.
+    // Alternating commits and observed writes between the two ends
+    // drops the prefix watermark far and then barely, and every trial
+    // in between raises it again; each step is checked bitwise.
+    for (i, bench) in paper_benchmarks().into_iter().enumerate() {
+        let prep = prepare(bench.kernel);
+        let mut spec = FixedPointSpec::from_ranges(&prep.kernel, &prep.ranges, 32);
+        let exprs: Vec<_> = spec
+            .optimizable_keys(&prep.kernel)
+            .into_iter()
+            .filter(|k| matches!(k, slpwlo::fixedpoint::SpecKey::Expr(_)))
+            .collect();
+        let quarter = (exprs.len() / 4).max(1);
+        let bands = [&exprs[..quarter], &exprs[exprs.len() - quarter..]];
+        let inc = IncrementalEvaluator::with_spec(&prep.eval, &spec);
+        let mut rng = StdRng::seed_from_u64(0x9E3F_0000 + i as u64);
+        let mut seen = [[0usize; 3]; 2];
+        for step in 0..600 {
+            let band = rng.gen_range(0..2usize);
+            let action = rng.gen_range(0..3usize);
+            seen[band][action] += 1;
+            let ctx = format!("{} step {step} band {band} action {action}", bench.name);
+            let mark = spec.mark();
+            let key = bands[band][rng.gen_range(0..quarter)];
+            spec.set_wl(key, WLS[rng.gen_range(0..WLS.len())]);
+            if action == 2 {
+                inc.observe(&spec, mark);
+            } else {
+                let inc_db = inc.trial_noise_db(&spec, mark);
+                assert_bits_eq(inc_db, prep.eval.noise_db(&spec), &ctx);
+                if action == 0 {
+                    spec.commit(mark);
+                    inc.commit_trial();
+                } else {
+                    spec.rollback(mark);
+                    inc.rollback_trial();
+                }
+            }
+            // A trial at the other end resumes from a prefix the step
+            // may just have invalidated (or left intact).
+            let mark = spec.mark();
+            let other = bands[1 - band][rng.gen_range(0..quarter)];
+            spec.set_wl(other, WLS[rng.gen_range(0..WLS.len())]);
+            let inc_db = inc.trial_noise_db(&spec, mark);
+            assert_bits_eq(inc_db, prep.eval.noise_db(&spec), &format!("{ctx} (probe)"));
+            spec.rollback(mark);
+            inc.rollback_trial();
+            let mark = spec.mark();
+            let inc_db = inc.trial_noise_db(&spec, mark);
+            assert_bits_eq(inc_db, prep.eval.noise_db(&spec), &format!("{ctx} (empty)"));
+            inc.rollback_trial();
+        }
+        assert!(
+            seen.iter().flatten().all(|&n| n > 0),
+            "{}: every band/action pair must occur: {seen:?}",
+            bench.name
+        );
+    }
+}
